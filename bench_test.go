@@ -179,11 +179,11 @@ func BenchmarkKernelEvents(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			k.Schedule(1, tick)
+			k.ScheduleEvent(1, sim.Call(tick).H, sim.EventArg{})
 		}
 	}
 	b.ResetTimer()
-	k.Schedule(1, tick)
+	k.ScheduleEvent(1, sim.Call(tick).H, sim.EventArg{})
 	k.Run()
 }
 

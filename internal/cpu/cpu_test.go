@@ -22,10 +22,10 @@ func (m *fakeMem) AccessEvent(core int, a uint64, write bool, done sim.Cont) {
 	if m.active > m.maxConc {
 		m.maxConc = m.active
 	}
-	m.k.Schedule(m.latency, func() {
+	m.k.ScheduleEvent(m.latency, sim.Call(func() {
 		m.active--
 		done.Invoke()
-	})
+	}).H, sim.EventArg{})
 }
 
 type fakePMU struct {
@@ -36,13 +36,13 @@ type fakePMU struct {
 
 func (p *fakePMU) Issue(pei *pim.PEI) {
 	p.issued++
-	p.k.Schedule(50, func() {
+	p.k.ScheduleEvent(50, sim.Call(func() {
 		if pei.Issuer != nil {
 			pei.Issuer.PEIRetired(pei)
 		} else if pei.Done != nil {
 			pei.Done()
 		}
-	})
+	}).H, sim.EventArg{})
 }
 
 func (p *fakePMU) FenceEvent(done sim.Cont) {

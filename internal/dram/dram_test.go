@@ -157,9 +157,9 @@ func TestStaggeredArrivals(t *testing.T) {
 	completed := 0
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(sim.Cycle(i*30), func() {
+		k.AtEvent(sim.Cycle(i*30), sim.Call(func() {
 			c.Enqueue(&Request{Bank: i % 2, Row: uint64(i), Done: func() { completed++ }})
-		})
+		}).H, sim.EventArg{})
 	}
 	k.Run()
 	if completed != 10 {
@@ -177,9 +177,9 @@ func TestRefreshStallsBanks(t *testing.T) {
 	// Arrive just after the first refresh window opens: the access must
 	// wait out tRFC and then pay a full row activation (rows closed).
 	var done sim.Cycle
-	k.At(1000, func() {
+	k.AtEvent(1000, sim.Call(func() {
 		c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { done = k.Now() }})
-	})
+	}).H, sim.EventArg{})
 	k.Run()
 	if done != 1000+200+110 {
 		t.Fatalf("completion at %d, want 1310 (tRFC + row activation)", done)
@@ -197,9 +197,9 @@ func TestRefreshClosesOpenRow(t *testing.T) {
 	c := NewController(k, 1, tm, testRegistry(), "dram.")
 	c.Enqueue(&Request{Bank: 0, Row: 5}) // opens row 5, completes at 110
 	var done sim.Cycle
-	k.At(1500, func() { // after one refresh epoch
+	k.AtEvent(1500, sim.Call(func() { // after one refresh epoch
 		c.Enqueue(&Request{Bank: 0, Row: 5, Done: func() { done = k.Now() }})
-	})
+	}).H, sim.EventArg{})
 	k.Run()
 	// Row was closed by refresh: row miss (tRCD+tCL), not a hit.
 	if done != 1500+110 {
@@ -223,9 +223,9 @@ func TestLongIdleGapFastForwardsRefresh(t *testing.T) {
 	tm.TRFC = 10
 	c := NewController(k, 1, tm, testRegistry(), "dram.")
 	done := false
-	k.At(1_000_000, func() {
+	k.AtEvent(1_000_000, sim.Call(func() {
 		c.Enqueue(&Request{Bank: 0, Row: 0, Done: func() { done = true }})
-	})
+	}).H, sim.EventArg{})
 	k.Run()
 	if !done {
 		t.Fatal("request lost across idle refresh epochs")

@@ -3,17 +3,17 @@ package sim
 import "testing"
 
 // BenchmarkKernelScheduleStep measures the steady-state scheduler round
-// trip: one Schedule into the near-future ring plus one Step dispatch.
-// This is the per-event cost every timed component pays.
+// trip: one ScheduleEvent into the near-future ring plus one Step
+// dispatch. This is the per-event cost every timed component pays.
 func BenchmarkKernelScheduleStep(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
-	k.Schedule(1, fn)
+	h := Call(func() {}).H
+	k.ScheduleEvent(1, h, EventArg{})
 	k.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(3, fn)
+		k.ScheduleEvent(3, h, EventArg{})
 		k.Step()
 	}
 }
@@ -22,42 +22,11 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 // lands beyond the ring window and migrates in.
 func BenchmarkKernelScheduleStepFar(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
+	h := Call(func() {}).H
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(ringWindow+17, fn)
+		k.ScheduleEvent(ringWindow+17, h, EventArg{})
 		k.Step()
-	}
-}
-
-// epochTicker keeps a partition active every epoch: each dispatch
-// reschedules itself one lookahead window ahead.
-type epochTicker struct {
-	s      Scheduler
-	period Cycle
-}
-
-func (e *epochTicker) OnEvent(arg EventArg) { e.s.ScheduleEvent(e.period, e, arg) }
-
-// BenchmarkPDESEpochOverhead pins the per-epoch protocol cost on the
-// machine's real shape (host + 32 vaults = 33 partitions): every
-// partition has exactly one event per window, so each iteration is one
-// full epoch — mailbox drain check, fused peek scan, active-set build,
-// and 33 single-event partition runs — with no cross-partition traffic.
-func BenchmarkPDESEpochOverhead(b *testing.B) {
-	const (
-		nparts = 33
-		window = 16
-	)
-	pd := NewPDES(window, nparts, 1)
-	for i := 0; i < nparts; i++ {
-		t := &epochTicker{s: pd.Part(i), period: window}
-		pd.Part(i).AtEvent(0, t, EventArg{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pd.Epoch()
 	}
 }

@@ -6,24 +6,24 @@ import (
 
 // TestKernelSteadyStateZeroAllocs pins the headline property of the
 // calendar-queue scheduler: once bucket capacity is warm, a
-// Schedule+Step round trip performs no heap allocations.
+// ScheduleEvent+Step round trip performs no heap allocations.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	k := NewKernel()
-	fn := func() {}
+	h := Call(func() {}).H
 	// Warm up with the same access pattern the measurement uses, walking
 	// every ring slot at least once so each bucket slice has capacity.
 	for i := 0; i < 2*ringWindow; i++ {
-		k.Schedule(3, fn)
+		k.ScheduleEvent(3, h, EventArg{})
 		k.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(3, fn)
+		k.ScheduleEvent(3, h, EventArg{})
 		if !k.Step() {
 			t.Fatal("no event dispatched")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Schedule+Step allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("ScheduleEvent+Step allocated %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -36,14 +36,14 @@ func TestKernelFIFOAcrossOverflow(t *testing.T) {
 	target := Cycle(ringWindow + 500) // beyond the initial window
 	var got []int
 	// First two land in the overflow heap.
-	k.At(target, func() { got = append(got, 0) })
-	k.At(target, func() { got = append(got, 1) })
+	k.AtEvent(target, Call(func() { got = append(got, 0) }).H, EventArg{})
+	k.AtEvent(target, Call(func() { got = append(got, 1) }).H, EventArg{})
 	// Walk time forward so target migrates into the ring, then append
 	// two more directly.
-	k.At(target-1, func() {
-		k.Schedule(1, func() { got = append(got, 2) })
-		k.Schedule(1, func() { got = append(got, 3) })
-	})
+	k.AtEvent(target-1, Call(func() {
+		k.ScheduleEvent(1, Call(func() { got = append(got, 2) }).H, EventArg{})
+		k.ScheduleEvent(1, Call(func() { got = append(got, 3) }).H, EventArg{})
+	}).H, EventArg{})
 	k.Run()
 	for i, v := range got {
 		if v != i {
@@ -63,7 +63,7 @@ func TestKernelFarEventsOrdered(t *testing.T) {
 	cycles := []Cycle{5 * ringWindow, 3, 2 * ringWindow, ringWindow - 1, 7 * ringWindow, ringWindow, 1}
 	for _, c := range cycles {
 		c := c
-		k.At(c, func() { got = append(got, c) })
+		k.AtEvent(c, Call(func() { got = append(got, c) }).H, EventArg{})
 	}
 	k.Run()
 	want := []Cycle{1, 3, ringWindow - 1, ringWindow, 2 * ringWindow, 5 * ringWindow, 7 * ringWindow}
@@ -90,9 +90,9 @@ func TestKernelIdleJumpThenSchedule(t *testing.T) {
 		t.Fatalf("Now() = %d", k.Now())
 	}
 	var got []int
-	k.Schedule(0, func() { got = append(got, 0) })
-	k.Schedule(5, func() { got = append(got, 1) })
-	k.Schedule(Cycle(2*ringWindow), func() { got = append(got, 2) })
+	k.ScheduleEvent(0, Call(func() { got = append(got, 0) }).H, EventArg{})
+	k.ScheduleEvent(5, Call(func() { got = append(got, 1) }).H, EventArg{})
+	k.ScheduleEvent(Cycle(2*ringWindow), Call(func() { got = append(got, 2) }).H, EventArg{})
 	k.Run()
 	for i, v := range got {
 		if v != i {
@@ -109,8 +109,8 @@ func TestKernelIdleJumpThenSchedule(t *testing.T) {
 func TestKernelRunUntilBeyondWindow(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.At(10, func() { fired++ })
-	k.At(3*ringWindow, func() { fired++ })
+	k.AtEvent(10, Call(func() { fired++ }).H, EventArg{})
+	k.AtEvent(3*ringWindow, Call(func() { fired++ }).H, EventArg{})
 	k.RunUntil(2 * ringWindow)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -119,7 +119,7 @@ func TestKernelRunUntilBeyondWindow(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", k.Pending())
 	}
 	// Scheduling at the current (jumped-to) time still works.
-	k.Schedule(1, func() { fired++ })
+	k.ScheduleEvent(1, Call(func() { fired++ }).H, EventArg{})
 	k.Run()
 	if fired != 3 {
 		t.Fatalf("fired = %d, want 3", fired)

@@ -8,9 +8,9 @@ import (
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	k.Schedule(5, func() { got = append(got, 5) })
-	k.Schedule(1, func() { got = append(got, 1) })
-	k.Schedule(3, func() { got = append(got, 3) })
+	k.ScheduleEvent(5, Call(func() { got = append(got, 5) }).H, EventArg{})
+	k.ScheduleEvent(1, Call(func() { got = append(got, 1) }).H, EventArg{})
+	k.ScheduleEvent(3, Call(func() { got = append(got, 3) }).H, EventArg{})
 	k.Run()
 	want := []int{1, 3, 5}
 	for i := range want {
@@ -28,7 +28,7 @@ func TestKernelFIFOSameCycle(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(7, func() { got = append(got, i) })
+		k.ScheduleEvent(7, Call(func() { got = append(got, i) }).H, EventArg{})
 	}
 	k.Run()
 	for i := 0; i < 10; i++ {
@@ -41,14 +41,14 @@ func TestKernelFIFOSameCycle(t *testing.T) {
 func TestKernelZeroDelayRunsThisCycle(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	k.Schedule(2, func() {
-		k.Schedule(0, func() {
+	k.ScheduleEvent(2, Call(func() {
+		k.ScheduleEvent(0, Call(func() {
 			if k.Now() != 2 {
 				t.Errorf("zero-delay event ran at %d, want 2", k.Now())
 			}
 			fired = true
-		})
-	})
+		}).H, EventArg{})
+	}).H, EventArg{})
 	k.Run()
 	if !fired {
 		t.Fatal("zero-delay event never fired")
@@ -62,10 +62,10 @@ func TestKernelNestedScheduling(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 100 {
-			k.Schedule(1, rec)
+			k.ScheduleEvent(1, Call(rec).H, EventArg{})
 		}
 	}
-	k.Schedule(0, rec)
+	k.ScheduleEvent(0, Call(rec).H, EventArg{})
 	k.Run()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -80,7 +80,7 @@ func TestKernelRunUntil(t *testing.T) {
 	var fired []Cycle
 	for _, c := range []Cycle{10, 20, 30} {
 		c := c
-		k.At(c, func() { fired = append(fired, c) })
+		k.AtEvent(c, Call(func() { fired = append(fired, c) }).H, EventArg{})
 	}
 	k.RunUntil(20)
 	if len(fired) != 2 {
@@ -105,14 +105,14 @@ func TestKernelRunUntilAdvancesIdleTime(t *testing.T) {
 
 func TestKernelPastSchedulePanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {})
+	k.ScheduleEvent(10, Call(func() {}).H, EventArg{})
 	k.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on scheduling in the past")
 		}
 	}()
-	k.At(5, func() {})
+	k.AtEvent(5, Call(func() {}).H, EventArg{})
 }
 
 func TestKernelNegativeDelayPanics(t *testing.T) {
@@ -122,7 +122,7 @@ func TestKernelNegativeDelayPanics(t *testing.T) {
 			t.Fatal("expected panic on negative delay")
 		}
 	}()
-	k.Schedule(-1, func() {})
+	k.ScheduleEvent(-1, Call(func() {}).H, EventArg{})
 }
 
 // Property: however delays are chosen, events fire in nondecreasing time
@@ -133,12 +133,12 @@ func TestKernelMonotonicProperty(t *testing.T) {
 		var last Cycle = -1
 		ok := true
 		for _, d := range delays {
-			k.Schedule(Cycle(d), func() {
+			k.ScheduleEvent(Cycle(d), Call(func() {
 				if k.Now() < last {
 					ok = false
 				}
 				last = k.Now()
-			})
+			}).H, EventArg{})
 		}
 		k.Run()
 		return ok && k.Executed == uint64(len(delays))
@@ -152,8 +152,8 @@ func TestKernelRunWhile(t *testing.T) {
 	k := NewKernel()
 	n := 0
 	var tick func()
-	tick = func() { n++; k.Schedule(1, tick) }
-	k.Schedule(0, tick)
+	tick = func() { n++; k.ScheduleEvent(1, Call(tick).H, EventArg{}) }
+	k.ScheduleEvent(0, Call(tick).H, EventArg{})
 	k.RunWhile(func() bool { return n < 50 })
 	if n != 50 {
 		t.Fatalf("n = %d, want 50", n)
@@ -161,10 +161,9 @@ func TestKernelRunWhile(t *testing.T) {
 }
 
 // TestKernelEarlyLane pins the arrivals-before-locals rule: an event
-// posted through AtEventEarly (or EarlySink) dispatches before every
-// normal-lane event of the same cycle, regardless of insertion order —
-// the property both kernels rely on to keep same-cycle ties between
-// link arrivals and local events identical.
+// posted through AtEventEarly dispatches before every normal-lane event
+// of the same cycle, regardless of insertion order — the rule that
+// fixes same-cycle ties between link arrivals and local events.
 func TestKernelEarlyLane(t *testing.T) {
 	k := NewKernel()
 	var got []int64
@@ -173,7 +172,7 @@ func TestKernelEarlyLane(t *testing.T) {
 	// last must still run first, FIFO within each lane.
 	k.AtEvent(5, r, EventArg{N: 10})
 	k.AtEvent(5, r, EventArg{N: 11})
-	k.EarlySink().PostEvent(5, r, EventArg{N: 1})
+	k.AtEventEarly(5, r, EventArg{N: 1})
 	k.AtEventEarly(5, r, EventArg{N: 2})
 	k.AtEvent(5, r, EventArg{N: 12})
 	k.Run()
@@ -216,17 +215,21 @@ func TestKernelEarlyLaneFarHeap(t *testing.T) {
 }
 
 // TestKernelEarlyPastPanics pins that the early lane rejects
-// non-future posts — cross-partition deliveries are always at least
-// one cycle out, so a same-cycle early insert is a wiring bug.
+// non-future posts — link deliveries are always at least one cycle
+// out, so a same-cycle early insert is a wiring bug.
 func TestKernelEarlyPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(3, func() {
+	k.ScheduleEvent(3, Call(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("AtEventEarly at now did not panic")
 			}
 		}()
 		k.AtEventEarly(3, funcEvent(func() {}), EventArg{})
-	})
+	}).H, EventArg{})
 	k.Run()
 }
+
+type recorder struct{ out *[]int64 }
+
+func (r *recorder) OnEvent(arg EventArg) { *r.out = append(*r.out, arg.N) }

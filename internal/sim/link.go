@@ -11,7 +11,7 @@ import "math"
 // therefore captures both serialization delay and queueing delay, the two
 // effects the paper's bandwidth arguments rest on.
 type Link struct {
-	k Scheduler
+	k *Kernel
 
 	// BytesPerCycle is the link bandwidth expressed in the kernel's base
 	// clock. 80 GB/s at a 4 GHz base clock is 20 bytes/cycle.
@@ -34,40 +34,41 @@ type Link struct {
 // 16-byte flits).
 const FlitBytes = 16
 
-// NewLink creates a link scheduled on k, which must be the scheduler of
-// the partition that owns (sends on) the link.
-func NewLink(k Scheduler, bytesPerCycle float64, latency Cycle) *Link {
+// NewLink creates a link scheduled on k.
+func NewLink(k *Kernel, bytesPerCycle float64, latency Cycle) *Link {
 	if bytesPerCycle <= 0 {
 		panic("sim: link bandwidth must be positive")
 	}
 	return &Link{k: k, BytesPerCycle: bytesPerCycle, Latency: latency}
 }
 
-// Send queues a transfer of the given number of bytes and invokes done
-// (if non-nil) when the payload has been delivered. It returns the cycle
-// at which delivery will occur. Closure variant for cold paths; hot
-// paths use SendEvent.
-func (l *Link) Send(bytes int, done func()) Cycle {
-	if done == nil {
-		return l.SendEvent(bytes, nil, EventArg{})
-	}
-	return l.SendEvent(bytes, funcEvent(done), EventArg{})
-}
-
 // SendEvent queues a transfer of the given number of bytes and delivers
 // arg to h (if non-nil) when the payload arrives. It returns the cycle
 // at which delivery will occur.
 func (l *Link) SendEvent(bytes int, h Handler, arg EventArg) Cycle {
-	return l.SendEventTo(l.k, bytes, h, arg)
+	at := l.occupy(bytes)
+	if h != nil {
+		l.k.AtEvent(at, h, arg)
+	}
+	return at
 }
 
-// SendEventTo is SendEvent with an explicit delivery sink: serialization
-// and occupancy are accounted on the sender's clock, and the payload is
-// posted to sink at the delivery cycle. When the receiver lives in
-// another PDES partition the sink is that partition's mailbox; the link
-// latency then doubles as the synchronization lookahead, so delivery
-// always lands at least a full window past the sender's clock.
-func (l *Link) SendEventTo(sink EventSink, bytes int, h Handler, arg EventArg) Cycle {
+// SendEventEarly is SendEvent with delivery in the kernel's early lane
+// (AtEventEarly): the arrival dispatches before every ordinary event of
+// its cycle. The off-chip links use it, which makes a packet arrival
+// against a same-cycle local event a fixed rule — arrivals first —
+// rather than an artifact of when each was scheduled.
+func (l *Link) SendEventEarly(bytes int, h Handler, arg EventArg) Cycle {
+	at := l.occupy(bytes)
+	if h != nil {
+		l.k.AtEventEarly(at, h, arg)
+	}
+	return at
+}
+
+// occupy accounts a transfer's serialization on the link and returns
+// its delivery cycle.
+func (l *Link) occupy(bytes int) Cycle {
 	if bytes <= 0 {
 		bytes = 1
 	}
@@ -81,11 +82,7 @@ func (l *Link) SendEventTo(sink EventSink, bytes int, h Handler, arg EventArg) C
 	l.Busy += occ
 	l.BytesTransferred += uint64(bytes)
 	l.FlitsTransferred += uint64((bytes + FlitBytes - 1) / FlitBytes)
-	at := end + l.Latency
-	if h != nil {
-		sink.PostEvent(at, h, arg)
-	}
-	return at
+	return end + l.Latency
 }
 
 // QueueDelay reports how long a transfer issued now would wait before

@@ -8,10 +8,10 @@ import (
 )
 
 // SnapshotTo serializes every counter as (name, value) pairs in sorted
-// name order — not interning order, which differs between the
-// sequential and PDES builds of the same machine (vault counters intern
-// into per-partition shards under PDES). Sorting is what keeps the byte
-// stream, and therefore the content-addressed blob, kernel-agnostic.
+// name order, not interning order. Interning order depends on which
+// component first touched a counter, so sorting is what makes the byte
+// stream, and therefore the content-addressed blob, a function of the
+// counter values alone.
 func (r *Registry) SnapshotTo(w *snap.Writer) {
 	w.Section("SREG")
 	sorted := make([]string, len(r.names))

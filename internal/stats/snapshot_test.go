@@ -73,12 +73,11 @@ func TestRegistrySnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotKernelAgnosticBytes pins that two registries with
-// identical counters but different interning orders serialize to the
-// same bytes — the property that keeps snapshot blobs identical across
-// the sequential and PDES kernels, whose vault shards intern in
-// different orders.
-func TestRegistrySnapshotKernelAgnosticBytes(t *testing.T) {
+// TestRegistrySnapshotInternOrderIndependentBytes pins that two
+// registries with identical counters but different interning orders
+// serialize to the same bytes, so a snapshot blob depends on counter
+// values only, never on which component registered a counter first.
+func TestRegistrySnapshotInternOrderIndependentBytes(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Add("x", 1)
 	a.Add("y", 2)

@@ -2,7 +2,7 @@ package workloads
 
 import (
 	"fmt"
-	"sync" //peilint:allow partsafe generation-time graph cache shared across harness cells; immutable after construction, never touched by event handlers
+	"sync"
 
 	"pimsim/internal/graph"
 	"pimsim/internal/machine"

@@ -103,7 +103,16 @@ func main() {
 	opts.OpBudget = *budget
 	opts.Pairs = *pairs
 	opts.Parallelism = *parallel
-	opts.SnapshotDir = *snapDir
+	if *snapDir != "" {
+		// Open the store up front so an unusable directory fails before
+		// any cell runs.
+		st, err := pei.OpenSnapshotStore(*snapDir, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "peibench:", err)
+			os.Exit(1)
+		}
+		opts.SnapshotStore = st
+	}
 	if *full {
 		opts.Cfg = pei.BaselineConfig()
 	}

@@ -65,18 +65,12 @@ type Options struct {
 	// from multiple goroutines concurrently; the callback must be
 	// goroutine-safe and fast (it runs on the simulation worker).
 	Progress func(Progress)
-	// SnapshotDir, when non-empty, enables checkpoint/warm-start: cells
-	// run phased, every interior superstep boundary is serialized into a
-	// content-addressed blob store rooted here, and reruns of a cell
-	// resume from the deepest stored boundary. Results are bit-identical
-	// to cold runs (pinned by the resume-equivalence tests).
-	SnapshotDir string
-	// SnapshotBudget caps the snapshot directory's size in bytes;
-	// least-recently-used blobs are evicted beyond it (<= 0: unlimited).
-	SnapshotBudget int64
-	// SnapshotStore injects an already-open blob store instead of
-	// SnapshotDir/SnapshotBudget — peiserved shares one store (and its
-	// hit/miss counters) across every job it runs.
+	// SnapshotStore, if non-nil, persists the phase boundaries every
+	// cell passes: reruns of a cell resume from the deepest stored
+	// boundary instead of simulating from cycle 0. It changes wall time
+	// only — tables are byte-identical with or without it, cold or warm.
+	// peiserved shares one store (and its hit/miss counters) across
+	// every job it runs.
 	SnapshotStore *snap.Store
 }
 
@@ -300,11 +294,7 @@ type Runner struct {
 	// simulations counts machines built and run (tests, effort reports).
 	simulations atomic.Int64
 
-	// Warm-start state (Options.SnapshotDir): the shared blob store and
-	// the cycle ledger behind SnapshotReport.
-	snapMu          sync.Mutex
-	store           *snap.Store
-	storeErr        error
+	// The cycle ledger behind SnapshotReport.
 	cyclesSimulated atomic.Int64
 	cyclesSkipped   atomic.Int64
 }
@@ -393,26 +383,14 @@ func (r *Runner) runWorkload(ctx context.Context, name string, p workloads.Param
 	if mutate != nil {
 		mutate(cfg)
 	}
-	if r.snapshotsEnabled() {
-		res, simulated, err := r.runPhased(ctx, cfg, name, p, mode, false)
-		if err == nil {
-			cycles = simulated
-		}
+	res, resumed, err := RunPhased(ctx, cfg, name, p, mode, r.Opts.SnapshotStore, false, r.logf)
+	if err != nil {
 		return res, err
 	}
-	w, err := workloads.New(name, p)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	m, err := machine.New(cfg, mode)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	res, err := m.RunContext(ctx, w.Streams(m))
-	if err == nil {
-		cycles = int64(res.Cycles)
-	}
-	return res, err
+	cycles = int64(res.Cycles) - resumed
+	r.cyclesSimulated.Add(cycles)
+	r.cyclesSkipped.Add(resumed)
+	return res, nil
 }
 
 // runGraphWorkload runs a graph workload on a specific named dataset.

@@ -17,11 +17,14 @@ import (
 	"pimsim/internal/workloads"
 )
 
-// This file is the harness's warm-start path. With Options.SnapshotDir
-// set, every cell runs phased: the workload's supersteps are cut at
-// quiescent boundaries, each interior boundary is serialized into the
-// content-addressed blob store, and a later run of the same cell resumes
-// from the deepest stored boundary instead of simulating from cycle 0.
+// This file is the harness's one execution driver. Every workload run
+// goes through RunPhased: the workload's supersteps are cut at quiescent
+// boundaries and the machine drains at each one. A snapshot store only
+// decides whether those boundaries are persisted — each interior
+// boundary is serialized into the content-addressed blob store, and a
+// later run of the same cell resumes from the deepest stored boundary
+// instead of simulating from cycle 0. With or without a store, and cold
+// or warm, the result is the same.
 
 // snapshotDigest content-addresses a cell: everything that determines
 // the simulated trajectory — final machine config, workload identity and
@@ -54,64 +57,33 @@ type SnapshotReport struct {
 	CyclesSkipped int64
 }
 
-// SnapshotReport returns the warm-start summary (zero value when
-// snapshots are disabled).
+// SnapshotReport returns the warm-start summary (the store counters
+// are zero when no store is set).
 func (r *Runner) SnapshotReport() SnapshotReport {
 	rep := SnapshotReport{
 		CyclesSimulated: r.cyclesSimulated.Load(),
 		CyclesSkipped:   r.cyclesSkipped.Load(),
 	}
-	r.snapMu.Lock()
-	if r.store != nil {
-		rep.Store = r.store.Stats()
+	if st := r.Opts.SnapshotStore; st != nil {
+		rep.Store = st.Stats()
 	}
-	r.snapMu.Unlock()
 	return rep
 }
 
-// snapshotsEnabled reports whether this runner checkpoints (a snapshot
-// dir or an injected store).
-func (r *Runner) snapshotsEnabled() bool {
-	return r.Opts.SnapshotDir != "" || r.Opts.SnapshotStore != nil
-}
-
-// snapStore lazily opens the runner's shared blob store (or returns the
-// injected one).
-func (r *Runner) snapStore() (*snap.Store, error) {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	if r.store == nil && r.storeErr == nil {
-		if r.Opts.SnapshotStore != nil {
-			r.store = r.Opts.SnapshotStore
-		} else {
-			r.store, r.storeErr = snap.NewStore(r.Opts.SnapshotDir, r.Opts.SnapshotBudget)
-		}
-	}
-	return r.store, r.storeErr
-}
-
-// RunPhasedWorkload runs a single workload with explicit params through
-// the warm-start path (serve's workload jobs ride through here so they
-// share the daemon's snapshot store). verify checks functional results
-// against the workload's golden implementation after the run.
-func (r *Runner) RunPhasedWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, verify bool) (machine.Result, error) {
-	cfg := r.Opts.Cfg.Clone()
-	cfg.MaxOps = 0
-	res, _, err := r.runPhased(ctx, cfg, name, p, mode, verify)
-	return res, err
-}
-
-// runPhased runs one cell in phases, resuming from the deepest stored
-// snapshot and writing a snapshot at every interior superstep boundary.
-// Warm results are bit-identical to a cold phased run of the same cell.
-func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string, p workloads.Params, mode pim.Mode, verify bool) (machine.Result, int64, error) {
-	st, err := r.snapStore()
-	if err != nil {
-		return machine.Result{}, 0, err
-	}
-	digest := snapshotDigest(cfg, name, p, mode)
-
-	build := func() (*machine.Machine, workloads.Phased, []cpu.Stream, error) {
+// RunPhased runs workload name on a fresh machine built from cfg, one
+// superstep at a time, draining the machine to a quiescent boundary
+// after each. It is the one driver behind every workload run — harness
+// cells, pei.RunWorkload and workload jobs.
+//
+// st may be nil. When it is set, the run resumes from the deepest
+// stored boundary of the same cell and stores every interior boundary
+// it passes; a stored boundary that fails to restore is deleted (and
+// reported through logf, if non-nil) and the run starts cold. Neither
+// changes the result. verify checks functional results against the
+// workload's golden implementation after the run. RunPhased returns the
+// result and the cycle the run resumed from (0 for a cold run).
+func RunPhased(ctx context.Context, cfg *config.Config, name string, p workloads.Params, mode pim.Mode, st *snap.Store, verify bool, logf func(format string, args ...interface{})) (machine.Result, int64, error) {
+	build := func() (*machine.Machine, workloads.Workload, []cpu.Stream, error) {
 		w, err := workloads.New(name, p)
 		if err != nil {
 			return nil, nil, nil, err
@@ -120,44 +92,51 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		pw := w.(workloads.Phased) // every workload embeds phaseCtl
-		return m, pw, pw.Streams(m), nil
+		return m, w, w.Streams(m), nil
 	}
-	m, pw, streams, err := build()
+	m, w, streams, err := build()
 	if err != nil {
 		return machine.Result{}, 0, err
 	}
 
-	rounds := pw.Rounds()
+	var digest string
+	rounds := w.Rounds()
 	phase := 0
-	if blob, ok := st.Best(digest); ok {
-		err := func() error {
-			f, err := os.Open(blob.Path)
+	if st != nil {
+		digest = snapshotDigest(cfg, name, p, mode)
+		if blob, ok := st.Best(digest); ok {
+			err := func() error {
+				f, err := os.Open(blob.Path)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				return m.RestoreFrom(f, w.RestoreFrom)
+			}()
 			if err != nil {
-				return err
+				// A torn or stale blob must not poison the run: drop it
+				// and rebuild cold (restore may have half-mutated the
+				// machine).
+				if logf != nil {
+					logf("  snapshot %s unusable (%v), running cold", blob.Path, err)
+				}
+				os.Remove(blob.Path)
+				if m, w, streams, err = build(); err != nil {
+					return machine.Result{}, 0, err
+				}
+			} else {
+				phase = blob.Phase
 			}
-			defer f.Close()
-			return m.RestoreFrom(f, pw.RestoreFrom)
-		}()
-		if err != nil {
-			// A torn or stale blob must not poison the run: drop it and
-			// rebuild cold (restore may have half-mutated the machine).
-			r.logf("  snapshot %s unusable (%v), running cold", blob.Path, err)
-			os.Remove(blob.Path)
-			if m, pw, streams, err = build(); err != nil {
-				return machine.Result{}, 0, err
-			}
-		} else {
-			phase = blob.Phase
 		}
 	}
 
-	startCycle := int64(m.K.Now())
-	for ; phase < rounds; phase++ {
-		if phase+1 >= rounds {
-			pw.SetRoundLimit(0) // final phase runs to completion, tail included
+	resumed := int64(m.K.Now())
+	for ; ; phase++ {
+		final := phase+1 >= rounds
+		if final {
+			w.SetRoundLimit(0) // final phase runs to completion, tail included
 		} else {
-			pw.SetRoundLimit(phase + 1)
+			w.SetRoundLimit(phase + 1)
 		}
 		if err := m.Start(streams); err != nil {
 			return machine.Result{}, 0, err
@@ -165,11 +144,14 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		if err := m.Drive(ctx); err != nil {
 			return machine.Result{}, 0, err
 		}
-		if phase+1 >= rounds {
+		if final {
 			break
 		}
+		if st == nil {
+			continue
+		}
 		var buf bytes.Buffer
-		if err := m.SnapshotTo(&buf, pw.SnapshotTo); err != nil {
+		if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
 			return machine.Result{}, 0, err
 		}
 		if err := st.Put(digest, phase+1, int64(m.K.Now()), buf.Bytes()); err != nil {
@@ -180,12 +162,10 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		return machine.Result{}, 0, err
 	}
 	res := m.Finish()
-	r.cyclesSimulated.Add(int64(res.Cycles) - startCycle)
-	r.cyclesSkipped.Add(startCycle)
 	if verify {
-		if err := pw.Verify(m); err != nil {
-			return res, 0, err
+		if err := w.Verify(m); err != nil {
+			return res, resumed, err
 		}
 	}
-	return res, int64(res.Cycles) - startCycle, nil
+	return res, resumed, nil
 }

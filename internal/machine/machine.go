@@ -141,10 +141,11 @@ func (m *Machine) Run(streams []cpu.Stream) (Result, error) {
 // event batches and returns ctx.Err() promptly once ctx is done. A
 // cancelled machine is left mid-simulation and must not be reused.
 //
-// It is the one-shot composition of the phased API: Start, Drive to
-// completion, CheckDone, Finish. Phased callers (checkpointing runs)
-// call those pieces directly, interleaving Quiesce and snapshots
-// between Drives.
+// It runs the streams as a single phase: Start, Drive to completion,
+// CheckDone, Finish. That suits runs whose streams share no superstep
+// boundary (pei.System programs, multiprogrammed pairs); workload runs
+// go through harness.RunPhased, which calls those pieces once per
+// superstep and may snapshot between Drives.
 func (m *Machine) RunContext(ctx context.Context, streams []cpu.Stream) (Result, error) {
 	if err := m.Start(streams); err != nil {
 		return Result{}, err

@@ -7,49 +7,11 @@ import (
 	"pimsim/internal/snap"
 )
 
-// Phased is implemented by workloads whose runs can be cut at superstep
-// boundaries for checkpointing. Between phases the machine drains to
-// quiescence; SnapshotTo then captures the only state that lives outside
-// the simulated machine — the generators' positions and any host-side
-// accumulators PEI completion callbacks write into.
-//
-// All ten workloads implement Phased by embedding phaseCtl.
-type Phased interface {
-	Workload
-	// Rounds reports the total number of supersteps the workload runs.
-	Rounds() int
-	// SetRoundLimit caps generation at the first limit rounds (0 or
-	// negative clears the cap). With a cap below Rounds(), streams
-	// report exhaustion at the cap and the machine drains to a
-	// checkpointable boundary; raising the cap and re-arming the cores
-	// resumes generation exactly where it stopped.
-	SetRoundLimit(limit int)
-	// SnapshotTo appends the workload's generator state to a machine
-	// snapshot stream. Only valid at a drained phase boundary.
-	SnapshotTo(w *snap.Writer)
-	// RestoreFrom loads generator state into a freshly built workload
-	// whose Streams have been constructed on the restore target.
-	RestoreFrom(r *snap.Reader)
-}
-
-// Every workload is checkpointable.
-var (
-	_ Phased = (*atf)(nil)
-	_ Phased = (*bfs)(nil)
-	_ Phased = (*pagerank)(nil)
-	_ Phased = (*sssp)(nil)
-	_ Phased = (*wcc)(nil)
-	_ Phased = (*hashjoin)(nil)
-	_ Phased = (*histogram)(nil)
-	_ Phased = (*radix)(nil)
-	_ Phased = (*streamcluster)(nil)
-	_ Phased = (*svm)(nil)
-)
-
-// phaseCtl is the shared Phased implementation. Streams() calls
-// initPhases and registers each thread's roundDriver (and the shared
-// barrier, if any); workloads with host-side PEI accumulators hook
-// snapExtra/restoreExtra to carry them across the boundary.
+// phaseCtl is the shared implementation of Workload's phase methods.
+// Streams() calls initPhases and registers each thread's roundDriver
+// (and the shared barrier, if any); workloads with host-side PEI
+// accumulators hook snapExtra/restoreExtra to carry them across the
+// boundary.
 type phaseCtl struct {
 	totalRounds int //peilint:allow snapcomplete workload configuration, re-established by initPhases when the streams are rebuilt before any restore
 	barrier     *cpu.Barrier

@@ -10,13 +10,6 @@ import (
 	"pimsim/internal/pim"
 )
 
-// TestPhasedVerifyAllWorkloads proves a checkpoint round-trip in the
-// middle of the run preserves functional correctness for every
-// workload: simulate to the midpoint boundary, serialize, restore into
-// a second freshly built machine, finish the run there, and Verify on
-// the second machine. Workloads with a single superstep have no
-// interior boundary; for them the snapshot/restore leg is skipped and
-// the phased driver alone is exercised.
 // TestRestorePoolHygiene pins the pool discipline across Restore:
 // transaction pools are recycling capacity, never serialized, so
 // restoring a snapshot into a machine whose pools are already populated
@@ -32,14 +25,13 @@ func TestRestorePoolHygiene(t *testing.T) {
 
 	// Source machine: run pr to its midpoint boundary and snapshot.
 	w := MustNew("pr", p)
-	pw := w.(Phased)
 	m := machine.MustNew(config.Scaled(), pim.LocalityAware)
-	streams := pw.Streams(m)
-	mid := pw.Rounds() / 2
+	streams := w.Streams(m)
+	mid := w.Rounds() / 2
 	if mid < 2 {
-		t.Fatalf("pr has %d rounds; need at least 4 for distinct boundaries", pw.Rounds())
+		t.Fatalf("pr has %d rounds; need at least 4 for distinct boundaries", w.Rounds())
 	}
-	pw.SetRoundLimit(mid)
+	w.SetRoundLimit(mid)
 	if err := m.Start(streams); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +39,7 @@ func TestRestorePoolHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.SnapshotTo(&buf, pw.SnapshotTo); err != nil {
+	if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,20 +48,19 @@ func TestRestorePoolHygiene(t *testing.T) {
 	// state differs from the snapshot, then restore the midpoint
 	// snapshot over it.
 	w2 := MustNew("pr", p)
-	pw2 := w2.(Phased)
 	m2 := machine.MustNew(config.Scaled(), pim.LocalityAware)
-	streams2 := pw2.Streams(m2)
-	pw2.SetRoundLimit(1)
+	streams2 := w2.Streams(m2)
+	w2.SetRoundLimit(1)
 	if err := m2.Start(streams2); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Drive(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), pw2.RestoreFrom); err != nil {
+	if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), w2.RestoreFrom); err != nil {
 		t.Fatalf("restore into a used machine: %v", err)
 	}
-	pw2.SetRoundLimit(0)
+	w2.SetRoundLimit(0)
 	if err := m2.Start(streams2); err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +76,13 @@ func TestRestorePoolHygiene(t *testing.T) {
 	}
 }
 
+// TestPhasedVerifyAllWorkloads proves a checkpoint round-trip in the
+// middle of the run preserves functional correctness for every
+// workload: simulate to the midpoint boundary, serialize, restore into
+// a second freshly built machine, finish the run there, and Verify on
+// the second machine. Workloads with a single superstep have no
+// interior boundary; for them the snapshot/restore leg is skipped and
+// the phased driver alone is exercised.
 func TestPhasedVerifyAllWorkloads(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range Names {
@@ -92,18 +90,14 @@ func TestPhasedVerifyAllWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := testParams()
 			w := MustNew(name, p)
-			pw, ok := w.(Phased)
-			if !ok {
-				t.Fatalf("%s does not implement Phased", name)
-			}
 			m := machine.MustNew(config.Scaled(), pim.LocalityAware)
-			streams := pw.Streams(m)
-			rounds := pw.Rounds()
+			streams := w.Streams(m)
+			rounds := w.Rounds()
 			mid := rounds / 2
 
-			drive := func(m *machine.Machine, pw Phased, limit int) {
+			drive := func(m *machine.Machine, w Workload, limit int) {
 				t.Helper()
-				pw.SetRoundLimit(limit)
+				w.SetRoundLimit(limit)
 				if err := m.Start(streams); err != nil {
 					t.Fatal(err)
 				}
@@ -113,21 +107,20 @@ func TestPhasedVerifyAllWorkloads(t *testing.T) {
 			}
 
 			if mid > 0 {
-				drive(m, pw, mid)
+				drive(m, w, mid)
 				var buf bytes.Buffer
-				if err := m.SnapshotTo(&buf, pw.SnapshotTo); err != nil {
+				if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
 					t.Fatalf("snapshot at phase %d: %v", mid, err)
 				}
 
 				// Second machine: fresh build, restore, finish there.
 				w2 := MustNew(name, p)
-				pw2 := w2.(Phased)
 				m2 := machine.MustNew(config.Scaled(), pim.LocalityAware)
-				streams2 := pw2.Streams(m2)
-				if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), pw2.RestoreFrom); err != nil {
+				streams2 := w2.Streams(m2)
+				if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), w2.RestoreFrom); err != nil {
 					t.Fatalf("restore at phase %d: %v", mid, err)
 				}
-				pw2.SetRoundLimit(0)
+				w2.SetRoundLimit(0)
 				if err := m2.Start(streams2); err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +136,7 @@ func TestPhasedVerifyAllWorkloads(t *testing.T) {
 				}
 				return
 			}
-			drive(m, pw, 0)
+			drive(m, w, 0)
 			if err := m.CheckDone(streams); err != nil {
 				t.Fatal(err)
 			}

@@ -166,3 +166,39 @@ func TestRunJobCancellation(t *testing.T) {
 		t.Fatal("cancelled job should fail")
 	}
 }
+
+// TestRunJobOptionsAreOutputNeutral pins RunJobOptions' contract: the
+// execution knobs change wall time only. A job run with parallelism and
+// a snapshot store — cold, then warm from the boundaries the cold run
+// stored — writes the same bytes as a job run with neither.
+func TestRunJobOptionsAreOutputNeutral(t *testing.T) {
+	specs := []pei.JobSpec{
+		{Workload: "bfs", Mode: "host", Scale: 2048, Verify: true},
+		{Experiment: "fig6", Scale: 1024, OpBudget: 2000, Workloads: []string{"pr", "bfs", "sc"}},
+	}
+	run := func(spec pei.JobSpec, opts pei.RunJobOptions) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := pei.RunJob(context.Background(), spec, &buf, opts); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, spec := range specs {
+		want := run(spec, pei.RunJobOptions{})
+		store, err := pei.OpenSnapshotStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			got := run(spec, pei.RunJobOptions{Parallelism: 2, Snapshots: store})
+			if got != want {
+				t.Errorf("%s%s job, %s store: output differs from a plain run\n--- got ---\n%s--- want ---\n%s",
+					spec.Workload, spec.Experiment, pass, got, want)
+			}
+		}
+		if st := store.Stats(); st.Hits == 0 {
+			t.Errorf("%s%s job: warm run never resumed from a stored boundary: %+v", spec.Workload, spec.Experiment, st)
+		}
+	}
+}

@@ -25,17 +25,6 @@ type Timing struct {
 	TRFC  sim.Cycle
 }
 
-// Request is one 64-byte block access presented to a vault controller.
-// Closure-based compatibility form; hot paths use EnqueueEvent.
-type Request struct {
-	Bank  int
-	Row   uint64
-	Write bool
-	// Done runs when the access completes (data available at the vault
-	// for reads; write restored for writes).
-	Done func()
-}
-
 // request is the controller's internal queued form, recycled through a
 // free list so steady-state traffic allocates nothing.
 type request struct {
@@ -66,7 +55,7 @@ type Controller struct {
 	cReads, cWrites, cRefreshes     stats.Handle
 
 	nextIssue   sim.Cycle
-	pumpAt      sim.Cycle // earliest already-scheduled pump; -1 if none
+	pumpAt      sim.Cycle // target cycle of the one live pump wakeup; -1 if none
 	nextRefresh sim.Cycle
 }
 
@@ -87,19 +76,15 @@ func NewController(k *sim.Kernel, banks int, t Timing, reg *stats.Registry, pref
 	}
 }
 
-// QueueLen reports the number of waiting requests.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+// Idle reports whether the controller has no queued request and no live
+// pump wakeup, as it must once the event queue has drained.
+func (c *Controller) Idle() bool { return len(c.queue) == 0 && c.pumpAt < 0 }
 
-// Enqueue adds a request; it will be scheduled FR-FCFS. Closure-based
-// compatibility form of EnqueueEvent.
-func (c *Controller) Enqueue(r *Request) {
-	c.EnqueueEvent(r.Bank, r.Row, r.Write, sim.Call(r.Done))
-}
-
-// EnqueueEvent adds a block access to the queue; done (which may be the
-// zero Cont) is invoked when the access completes. The queued record
-// comes from the controller's free list, so steady-state enqueueing
-// allocates nothing.
+// EnqueueEvent adds a 64-byte block access to the queue, to be scheduled
+// FR-FCFS; done (which may be the zero Cont) is invoked when the access
+// completes (data available at the vault for reads; write restored for
+// writes). The queued record comes from the controller's free list, so
+// steady-state enqueueing allocates nothing.
 func (c *Controller) EnqueueEvent(bank int, row uint64, write bool, done sim.Cont) {
 	if bank < 0 || bank >= len(c.banks) {
 		panic("dram: bank out of range")
@@ -269,13 +254,18 @@ func (c *Controller) scheduleNextPump() {
 		return // an earlier-or-equal pump is already queued
 	}
 	c.pumpAt = earliest
-	c.k.AtEvent(earliest, c, sim.EventArg{})
+	c.k.AtEvent(earliest, c, sim.EventArg{N: earliest})
 }
 
 // OnEvent is the controller's self-scheduled pump wakeup (see
 // scheduleNextPump); the controller is its own handler so the wakeup
-// allocates nothing.
-func (c *Controller) OnEvent(sim.EventArg) {
+// allocates nothing. arg.N carries the cycle the wakeup was armed for:
+// pumpAt names the one live wakeup, so a wakeup superseded by an
+// earlier reschedule is ignored instead of re-arming a duplicate.
+func (c *Controller) OnEvent(arg sim.EventArg) {
+	if arg.N != c.pumpAt {
+		return
+	}
 	c.pumpAt = -1
 	c.pump()
 }

@@ -24,7 +24,7 @@ func newTestController(banks int) (*sim.Kernel, *Controller, *stats.Registry) {
 func TestFirstAccessIsRowMiss(t *testing.T) {
 	k, c, reg := newTestController(4)
 	var done sim.Cycle = -1
-	c.Enqueue(&Request{Bank: 0, Row: 3, Done: func() { done = k.Now() }})
+	c.EnqueueEvent(0, 3, false, sim.Call(func() { done = k.Now() }))
 	k.Run()
 	if done != 110 { // tRCD + tCL
 		t.Fatalf("completion at %d, want 110", done)
@@ -37,8 +37,8 @@ func TestFirstAccessIsRowMiss(t *testing.T) {
 func TestRowHitIsFaster(t *testing.T) {
 	k, c, reg := newTestController(4)
 	var second sim.Cycle
-	c.Enqueue(&Request{Bank: 0, Row: 3, Done: nil})
-	c.Enqueue(&Request{Bank: 0, Row: 3, Done: func() { second = k.Now() }})
+	c.EnqueueEvent(0, 3, false, sim.Cont{})
+	c.EnqueueEvent(0, 3, false, sim.Call(func() { second = k.Now() }))
 	k.Run()
 	// First: issues at 0, bank ready at 110. Second: row hit issues at
 	// 110, completes at 165.
@@ -53,8 +53,8 @@ func TestRowHitIsFaster(t *testing.T) {
 func TestRowConflictPaysPrecharge(t *testing.T) {
 	k, c, reg := newTestController(4)
 	var second sim.Cycle
-	c.Enqueue(&Request{Bank: 0, Row: 1})
-	c.Enqueue(&Request{Bank: 0, Row: 2, Done: func() { second = k.Now() }})
+	c.EnqueueEvent(0, 1, false, sim.Cont{})
+	c.EnqueueEvent(0, 2, false, sim.Call(func() { second = k.Now() }))
 	k.Run()
 	// Second issues at 110, takes tRP+tRCD+tCL = 165, completes at 275.
 	if second != 275 {
@@ -68,8 +68,8 @@ func TestRowConflictPaysPrecharge(t *testing.T) {
 func TestBankParallelism(t *testing.T) {
 	k, c, _ := newTestController(4)
 	var a, b sim.Cycle
-	c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { a = k.Now() }})
-	c.Enqueue(&Request{Bank: 1, Row: 1, Done: func() { b = k.Now() }})
+	c.EnqueueEvent(0, 1, false, sim.Call(func() { a = k.Now() }))
+	c.EnqueueEvent(1, 1, false, sim.Call(func() { b = k.Now() }))
 	k.Run()
 	// Bank 1's command issues one IssueGap later but overlaps bank 0.
 	if a != 110 || b != 112 {
@@ -80,11 +80,11 @@ func TestBankParallelism(t *testing.T) {
 func TestFRFCFSPrefersRowHit(t *testing.T) {
 	k, c, _ := newTestController(1)
 	var order []int
-	c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { order = append(order, 1) }})
+	c.EnqueueEvent(0, 1, false, sim.Call(func() { order = append(order, 1) }))
 	// While row 1 is open: a conflicting request arrives first, then a
 	// row hit. FR-FCFS should reorder the hit ahead of the conflict.
-	c.Enqueue(&Request{Bank: 0, Row: 9, Done: func() { order = append(order, 9) }})
-	c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { order = append(order, 11) }})
+	c.EnqueueEvent(0, 9, false, sim.Call(func() { order = append(order, 9) }))
+	c.EnqueueEvent(0, 1, false, sim.Call(func() { order = append(order, 11) }))
 	k.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 11 || order[2] != 9 {
 		t.Fatalf("completion order %v, want [1 11 9]", order)
@@ -93,7 +93,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 
 func TestWriteCounted(t *testing.T) {
 	k, c, reg := newTestController(2)
-	c.Enqueue(&Request{Bank: 0, Row: 0, Write: true})
+	c.EnqueueEvent(0, 0, true, sim.Cont{})
 	k.Run()
 	if reg.Get("dram.writes") != 1 || reg.Get("dram.reads") != 0 {
 		t.Fatal("write accounting wrong")
@@ -107,7 +107,7 @@ func TestBankOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Enqueue(&Request{Bank: 5, Row: 0})
+	c.EnqueueEvent(5, 0, false, sim.Cont{})
 }
 
 // Property: every enqueued request eventually completes exactly once, in
@@ -117,12 +117,7 @@ func TestAllRequestsComplete(t *testing.T) {
 		k, c, _ := newTestController(8)
 		completed := 0
 		for _, p := range pattern {
-			c.Enqueue(&Request{
-				Bank:  int(p % 8),
-				Row:   uint64(p / 8 % 4),
-				Write: p%3 == 0,
-				Done:  func() { completed++ },
-			})
+			c.EnqueueEvent(int(p%8), uint64(p/8%4), p%3 == 0, sim.Call(func() { completed++ }))
 		}
 		k.Run()
 		return completed == len(pattern)
@@ -138,7 +133,7 @@ func TestSingleBankSerialization(t *testing.T) {
 	k, c, _ := newTestController(1)
 	var times []sim.Cycle
 	for i := 0; i < 20; i++ {
-		c.Enqueue(&Request{Bank: 0, Row: uint64(i % 2), Done: func() { times = append(times, k.Now()) }})
+		c.EnqueueEvent(0, uint64(i%2), false, sim.Call(func() { times = append(times, k.Now()) }))
 	}
 	k.Run()
 	if len(times) != 20 {
@@ -158,7 +153,7 @@ func TestStaggeredArrivals(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		k.AtEvent(sim.Cycle(i*30), sim.Call(func() {
-			c.Enqueue(&Request{Bank: i % 2, Row: uint64(i), Done: func() { completed++ }})
+			c.EnqueueEvent(i%2, uint64(i), false, sim.Call(func() { completed++ }))
 		}).H, sim.EventArg{})
 	}
 	k.Run()
@@ -178,7 +173,7 @@ func TestRefreshStallsBanks(t *testing.T) {
 	// wait out tRFC and then pay a full row activation (rows closed).
 	var done sim.Cycle
 	k.AtEvent(1000, sim.Call(func() {
-		c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { done = k.Now() }})
+		c.EnqueueEvent(0, 1, false, sim.Call(func() { done = k.Now() }))
 	}).H, sim.EventArg{})
 	k.Run()
 	if done != 1000+200+110 {
@@ -195,10 +190,10 @@ func TestRefreshClosesOpenRow(t *testing.T) {
 	tm.TREFI = 1000
 	tm.TRFC = 200
 	c := NewController(k, 1, tm, testRegistry(), "dram.")
-	c.Enqueue(&Request{Bank: 0, Row: 5}) // opens row 5, completes at 110
+	c.EnqueueEvent(0, 5, false, sim.Cont{}) // opens row 5, completes at 110
 	var done sim.Cycle
 	k.AtEvent(1500, sim.Call(func() { // after one refresh epoch
-		c.Enqueue(&Request{Bank: 0, Row: 5, Done: func() { done = k.Now() }})
+		c.EnqueueEvent(0, 5, false, sim.Call(func() { done = k.Now() }))
 	}).H, sim.EventArg{})
 	k.Run()
 	// Row was closed by refresh: row miss (tRCD+tCL), not a hit.
@@ -209,7 +204,7 @@ func TestRefreshClosesOpenRow(t *testing.T) {
 
 func TestRefreshDisabledByDefaultTiming(t *testing.T) {
 	k, c, reg := newTestController(1)
-	c.Enqueue(&Request{Bank: 0, Row: 0})
+	c.EnqueueEvent(0, 0, false, sim.Cont{})
 	k.Run()
 	if reg.Get("dram.refreshes") != 0 {
 		t.Fatal("refresh fired with TREFI=0")
@@ -224,10 +219,113 @@ func TestLongIdleGapFastForwardsRefresh(t *testing.T) {
 	c := NewController(k, 1, tm, testRegistry(), "dram.")
 	done := false
 	k.AtEvent(1_000_000, sim.Call(func() {
-		c.Enqueue(&Request{Bank: 0, Row: 0, Done: func() { done = true }})
+		c.EnqueueEvent(0, 0, false, sim.Call(func() { done = true }))
 	}).H, sim.EventArg{})
 	k.Run()
 	if !done {
 		t.Fatal("request lost across idle refresh epochs")
 	}
+}
+
+// A wakeup superseded by an earlier reschedule must stay a no-op. Each
+// round opens a row on bank 0, queues a conflicting row behind it (pump
+// armed for bank 0's ready time), then queues a bank-1 access whose
+// IssueGap-bound time lowers the pump, superseding the bank-0 wakeup.
+// With one live wakeup per controller the run costs the 200 arrival
+// events plus one wakeup per request; re-arming on superseded wakeups
+// made copies re-arm each other at every wakeup while the queue was
+// non-empty.
+func TestSupersededWakeupsStayInert(t *testing.T) {
+	const rounds = 200
+	k, c, reg := newTestController(4)
+	arrivalRuns := 0
+	for i := 0; i < rounds; i++ {
+		k.AtEvent(sim.Cycle(40*i), sim.Call(func() {
+			arrivalRuns++
+			c.EnqueueEvent(0, uint64(2*i), false, sim.Cont{})
+			c.EnqueueEvent(0, uint64(2*i+1), false, sim.Cont{})
+			c.EnqueueEvent(1, uint64(i), false, sim.Cont{})
+		}).H, sim.EventArg{})
+	}
+	// Step the kernel by hand: every event is either an arrival round or a
+	// pump wakeup. A wakeup firing at any cycle other than the live target
+	// is superseded and must change nothing: no pump, no re-arm.
+	superseded := 0
+	for k.Pending() > 0 {
+		live, pending, runs := c.pumpAt, k.Pending(), arrivalRuns
+		k.Step()
+		if arrivalRuns != runs || k.Now() == live {
+			continue
+		}
+		superseded++
+		if c.pumpAt != live || k.Pending() != pending-1 {
+			t.Fatalf("cycle %d: superseded wakeup pumped (pumpAt %d -> %d, pending %d -> %d)",
+				k.Now(), live, c.pumpAt, pending, k.Pending())
+		}
+	}
+	if superseded == 0 {
+		t.Fatal("no superseded wakeup fired; the test no longer exercises the guard")
+	}
+	if got := reg.Get("dram.reads"); got != 3*rounds {
+		t.Fatalf("issued %d reads, want %d", got, 3*rounds)
+	}
+	if !c.Idle() {
+		t.Fatal("controller not idle after drain")
+	}
+	if want := uint64(rounds + 3*rounds); k.Executed != want {
+		t.Fatalf("executed %d events, want %d (arrival rounds + one wakeup per request)", k.Executed, want)
+	}
+}
+
+// refill is the completion handler of BenchmarkControllerQueued: each
+// finished access enqueues the next one, so the queue depth stays
+// constant until the request budget is spent.
+type refill struct {
+	c      *Controller
+	issued int
+	limit  int
+	rng    uint64
+}
+
+func (f *refill) OnEvent(sim.EventArg) { f.next() }
+
+func (f *refill) next() {
+	if f.issued == f.limit {
+		return
+	}
+	f.issued++
+	f.rng = f.rng*6364136223846793005 + 1442695040888963407
+	r := f.rng >> 33
+	// 8 banks, 4 rows each: a mix of row hits, misses and conflicts.
+	// Half the requests go to hot bank 0, so the other banks drain and
+	// their arrivals keep pulling the pump earlier, superseding wakeups.
+	bank := int(r % 8)
+	if r/32%2 == 0 {
+		bank = 0
+	}
+	f.c.EnqueueEvent(bank, r/8%4, r%5 == 0, sim.Cont{H: f})
+}
+
+// BenchmarkControllerQueued measures the DRAM controller layer with 64
+// requests kept queued across 8 banks. events/req counts kernel events
+// (completions plus pump wakeups) per request; it is exact for a fixed
+// -benchtime=Nx and pinned in CI, so a wakeup leak shows up as a count,
+// not as noise. Re-arming superseded wakeups (one live wakeup per
+// controller is the rule) costs about 100x more events here.
+func BenchmarkControllerQueued(b *testing.B) {
+	const depth = 64
+	k := sim.NewKernel()
+	c := NewController(k, 8, testTiming(), testRegistry(), "dram.")
+	f := &refill{c: c, limit: b.N, rng: 1}
+	b.ResetTimer()
+	for i := 0; i < depth; i++ {
+		f.next()
+	}
+	k.Run()
+	b.StopTimer()
+	if !c.Idle() {
+		b.Fatal("controller not idle after drain")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/req")
+	b.ReportMetric(float64(k.Executed)/float64(b.N), "events/req")
 }

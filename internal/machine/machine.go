@@ -203,12 +203,21 @@ func (m *Machine) Drive(ctx context.Context) error {
 	return nil
 }
 
-// CheckDone verifies every armed core retired its whole stream; a core
-// with in-flight work after the queues drained is deadlocked.
+// CheckDone verifies every armed core retired its whole stream and every
+// vault's DRAM controller is idle; a core with in-flight work, or a
+// controller with a queued request or live pump wakeup, after the queues
+// drained is deadlocked.
 func (m *Machine) CheckDone(streams []cpu.Stream) error {
 	for i, s := range streams {
 		if s != nil && !m.Cores[i].Done() {
 			return fmt.Errorf("machine: core %d deadlocked (inflight work remains)", i)
+		}
+	}
+	for _, cube := range m.Chain.Cubes {
+		for _, v := range cube.Vaults {
+			if !v.Ctrl.Idle() {
+				return fmt.Errorf("machine: vault %d DRAM controller not idle after drain (queued request or live pump wakeup)", v.Index)
+			}
 		}
 	}
 	return nil

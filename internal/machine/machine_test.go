@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"pimsim/internal/config"
 	"pimsim/internal/cpu"
 	"pimsim/internal/pim"
+	"pimsim/internal/sim"
 )
 
 func streamOfPEIs(m *Machine, base uint64, n int, strideBlocks int) *cpu.SliceStream {
@@ -155,6 +157,29 @@ func TestMachineErrors(t *testing.T) {
 	bad.Cores = 0
 	if _, err := New(bad, pim.HostOnly); err == nil {
 		t.Fatal("expected error for invalid config")
+	}
+}
+
+// CheckDone is the run's end-of-drain conservation check: a vault DRAM
+// controller still holding a queued request or a live pump wakeup fails
+// it, and the same controller passes once the kernel has drained.
+func TestCheckDoneRequiresIdleDRAM(t *testing.T) {
+	m := MustNew(config.Scaled(), pim.HostOnly)
+	if err := m.CheckDone(nil); err != nil {
+		t.Fatalf("fresh machine: %v", err)
+	}
+	ctrl := m.Chain.VaultAt(3).Ctrl
+	// Two rows of one bank: the first issues at once, the conflicting
+	// second waits in the queue behind a pump wakeup.
+	ctrl.EnqueueEvent(0, 1, false, sim.Cont{})
+	ctrl.EnqueueEvent(0, 2, false, sim.Cont{})
+	err := m.CheckDone(nil)
+	if err == nil || !strings.Contains(err.Error(), "vault 3 DRAM controller not idle") {
+		t.Fatalf("CheckDone with a queued DRAM request = %v, want vault 3 not idle", err)
+	}
+	m.K.Run()
+	if err := m.CheckDone(nil); err != nil {
+		t.Fatalf("after drain: %v", err)
 	}
 }
 

@@ -239,10 +239,13 @@ func benchmarkPEI(b *testing.B, mode pim.Mode) {
 		blocks = 65536
 	}
 	base := m.Store.Alloc(blocks*64, 64)
+	var pool pim.PEIPool
 	done := 0
+	onDone := func(*pim.PEI) { done++ }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &pim.PEI{Op: pim.OpInc64, Target: base + uint64(i%blocks)*64, Done: func() { done++ }}
+		p := pool.Get(pim.OpInc64, base+uint64(i%blocks)*64)
+		p.Done = onDone
 		m.PMU.Issue(p)
 		if i%32 == 31 {
 			m.K.Run()

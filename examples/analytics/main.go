@@ -7,6 +7,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	sys.WriteU64(bucket+pim.HashBucketNextOff, 0)     // end of chain
 	prog := pei.NewProgram()
 	var match []byte
-	prog.PEI(pim.OpHashProbe, bucket, pim.U64Input(42), func(out []byte) { match = out })
+	prog.PEI(pim.OpHashProbe, bucket, binary.LittleEndian.AppendUint64(nil, 42), func(out []byte) { match = out })
 	if _, err := sys.Run(prog); err != nil {
 		log.Fatal(err)
 	}

@@ -30,11 +30,8 @@ type Hierarchy struct {
 	bankSrv []*sim.Link // per-bank L3 service port
 
 	privMSHR []map[uint64]*privMSHR // per core, keyed by block
-	// privPend with privPendHead is a per-core head-indexed FIFO of
-	// requests waiting for an MSHR slot (reset, retaining capacity, when
-	// drained so churn never reallocates).
-	privPend     [][]pendReq
-	privPendHead []int
+	// privPend queues, per core, the requests waiting for an MSHR slot.
+	privPend     []sim.FIFO[pendReq]
 	l3MSHR       []map[uint64]*l3MSHR // per bank, keyed by block
 	perBankMSHRs int
 
@@ -201,8 +198,7 @@ func NewHierarchy(k *sim.Kernel, cfg *config.Config, chain *hmc.Chain, reg *stat
 		h.coreOut = append(h.coreOut, sim.NewLink(k, cfg.NoCBytesPerCycle, cfg.NoCLatency))
 		h.coreIn = append(h.coreIn, sim.NewLink(k, cfg.NoCBytesPerCycle, cfg.NoCLatency))
 		h.privMSHR = append(h.privMSHR, make(map[uint64]*privMSHR))
-		h.privPend = append(h.privPend, nil)
-		h.privPendHead = append(h.privPendHead, 0)
+		h.privPend = append(h.privPend, sim.FIFO[pendReq]{})
 	}
 	setsPerBank := cfg.L3.Sets() / cfg.L3Banks
 	for b := 0; b < cfg.L3Banks; b++ {
@@ -499,7 +495,7 @@ func (h *Hierarchy) privateMissEvent(core int, blk uint64, write bool, done sim.
 		h.cL2MSHRStalls.Inc()
 		// Parked requests are retried from scratch once a slot frees;
 		// the retry recomputes everything.
-		h.privPend[core] = append(h.privPend[core], pendReq{blk: blk, write: write, done: done})
+		h.privPend[core].Push(pendReq{blk: blk, write: write, done: done})
 		return
 	}
 	m := h.getPriv()
@@ -546,14 +542,8 @@ func (h *Hierarchy) finishPrivateMiss(m *privMSHR) {
 	}
 	h.putPriv(m)
 	// Admit one pending request now that a slot is free.
-	if head := h.privPendHead[core]; head < len(h.privPend[core]) {
-		next := h.privPend[core][head]
-		h.privPend[core][head] = pendReq{}
-		h.privPendHead[core]++
-		if h.privPendHead[core] == len(h.privPend[core]) {
-			h.privPend[core] = h.privPend[core][:0]
-			h.privPendHead[core] = 0
-		}
+	if h.privPend[core].Len() > 0 {
+		next := h.privPend[core].Pop()
 		h.privateMissEvent(core, next.blk, next.write, next.done)
 	}
 }

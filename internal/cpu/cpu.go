@@ -139,14 +139,14 @@ func (c *Core) OnEvent(arg sim.EventArg) {
 }
 
 // PEIRetired implements pim.Retiree: the PMU notifies the issuing core
-// directly at retire, replacing the per-PEI Done wrapper closure.
+// directly at retire, replacing the per-PEI Done wrapper closure. The
+// PEI completes (and a pooled one returns to its stream's pool) before
+// the core issues again, so the refill can reuse it.
 func (c *Core) PEIRetired(p *pim.PEI) {
 	c.inflight--
 	c.Retired++
 	c.RetiredPEIs++
-	if p.Done != nil {
-		p.Done()
-	}
+	p.Complete()
 	c.pump()
 	c.maybeFinish()
 }

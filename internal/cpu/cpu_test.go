@@ -39,8 +39,8 @@ func (p *fakePMU) Issue(pei *pim.PEI) {
 	p.k.ScheduleEvent(50, sim.Call(func() {
 		if pei.Issuer != nil {
 			pei.Issuer.PEIRetired(pei)
-		} else if pei.Done != nil {
-			pei.Done()
+		} else {
+			pei.Complete()
 		}
 	}).H, sim.EventArg{})
 }
@@ -133,7 +133,7 @@ func TestPEIIssueAndRetire(t *testing.T) {
 	c, _, p := newTestCore(k, 4, 8, 0)
 	userDone := 0
 	ops := []Op{
-		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 64, Done: func() { userDone++ }}},
+		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 64, Done: func(*pim.PEI) { userDone++ }}},
 		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 128}},
 	}
 	c.Run(&SliceStream{Ops: ops})

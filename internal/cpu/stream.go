@@ -29,9 +29,14 @@ func (f FuncStream) Next() (Op, bool) { return f() }
 // should Push the next batch (one outer-loop iteration's worth of ops),
 // returning false when the program is over. Using a Queue keeps workload
 // code a natural loop body instead of a hand-written state machine.
+//
+// PEIs is the stream's PEI pool: generators take each PEI from it, and
+// the PEI returns to it when it retires, so a workload's steady state
+// allocates no PEIs.
 type Queue struct {
 	// Fill produces the next batch. May be nil for a pre-filled queue.
 	Fill func(q *Queue) bool
+	PEIs pim.PEIPool
 
 	buf  []Op
 	head int

@@ -203,10 +203,11 @@ func (m *Machine) Drive(ctx context.Context) error {
 	return nil
 }
 
-// CheckDone verifies every armed core retired its whole stream and every
-// vault's DRAM controller is idle; a core with in-flight work, or a
-// controller with a queued request or live pump wakeup, after the queues
-// drained is deadlocked.
+// CheckDone verifies every armed core retired its whole stream, every
+// vault's DRAM controller is idle, and the PEI path is drained (see
+// pim.PMU.CheckDrained); a core with in-flight work, a controller with a
+// queued request or live pump wakeup, or a held PIM-directory lock or
+// occupied PCU after the queues drained is deadlocked.
 func (m *Machine) CheckDone(streams []cpu.Stream) error {
 	for i, s := range streams {
 		if s != nil && !m.Cores[i].Done() {
@@ -219,6 +220,9 @@ func (m *Machine) CheckDone(streams []cpu.Stream) error {
 				return fmt.Errorf("machine: vault %d DRAM controller not idle after drain (queued request or live pump wakeup)", v.Index)
 			}
 		}
+	}
+	if err := m.PMU.CheckDrained(); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
 	return nil
 }

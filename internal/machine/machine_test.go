@@ -183,6 +183,56 @@ func TestCheckDoneRequiresIdleDRAM(t *testing.T) {
 	}
 }
 
+// CheckDone also checks the PEI path: a PIM-directory lock left held, an
+// occupied host or vault PCU, or a PEI issued but never retired each
+// fail it, and each passes again once released or drained.
+func TestCheckDoneRequiresDrainedPEIPath(t *testing.T) {
+	for _, mode := range []pim.Mode{pim.LocalityAware, pim.IdealHost} {
+		m := MustNew(config.Scaled(), mode)
+		m.PMU.Dir.Acquire(4096, true, func() {})
+		m.K.Run()
+		err := m.CheckDone(nil)
+		if err == nil || !strings.Contains(err.Error(), "not quiescent") {
+			t.Fatalf("%s: CheckDone with a held directory lock = %v, want an error", mode, err)
+		}
+		m.PMU.Dir.Release(4096, true)
+		if err := m.CheckDone(nil); err != nil {
+			t.Fatalf("%s: after release: %v", mode, err)
+		}
+	}
+
+	m := MustNew(config.Scaled(), pim.LocalityAware)
+	for _, c := range []struct {
+		pcu  *pim.PCU
+		want string
+	}{
+		{m.PMU.HostPCU[1], "host PCU 1"},
+		{m.PMU.MemPCU[5], "vault PCU 5"},
+	} {
+		c.pcu.Acquire(func() {})
+		if err := m.CheckDone(nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("CheckDone with an occupied PCU = %v, want %q", err, c.want)
+		}
+		c.pcu.Release()
+		if err := m.CheckDone(nil); err != nil {
+			t.Fatalf("after release: %v", err)
+		}
+	}
+
+	// A reader PEI in flight holds nothing yet: only the retire count
+	// shows it.
+	p := &pim.PEI{Op: pim.OpHashProbe, Target: m.Store.Alloc(64, 64)}
+	p.SetU64(1)
+	m.PMU.Issue(p)
+	if err := m.CheckDone(nil); err == nil || !strings.Contains(err.Error(), "1 PEIs issued but 0 retired") {
+		t.Fatalf("CheckDone with a PEI in flight = %v, want issued/retired mismatch", err)
+	}
+	m.K.Run()
+	if err := m.CheckDone(nil); err != nil {
+		t.Fatalf("after drain: %v", err)
+	}
+}
+
 func TestMachineEnergyPopulated(t *testing.T) {
 	m := MustNew(config.Scaled(), pim.PIMOnly)
 	base := m.Store.Alloc(64*64, 64)

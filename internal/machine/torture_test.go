@@ -62,11 +62,13 @@ func tortureRun(t *testing.T, mode pim.Mode, seed int64) {
 				plans[b].inputs = append(plans[b].inputs, 1)
 			case pim.OpMin64:
 				v := uint64(rng.Intn(1 << 30))
-				p = &pim.PEI{Op: pim.OpMin64, Target: target, Input: pim.U64Input(v)}
+				p = &pim.PEI{Op: pim.OpMin64, Target: target}
+				p.SetU64(v)
 				plans[b].inputs = append(plans[b].inputs, v)
 			case pim.OpFloatAdd:
 				v := float64(rng.Intn(1000)) / 8 // exactly representable
-				p = &pim.PEI{Op: pim.OpFloatAdd, Target: target, Input: pim.F64Input(v)}
+				p = &pim.PEI{Op: pim.OpFloatAdd, Target: target}
+				p.SetF64(v)
 				plans[b].inputs = append(plans[b].inputs, math.Float64bits(v))
 			}
 			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: p})
@@ -163,7 +165,8 @@ func TestTortureReaderOutputs(t *testing.T) {
 				key = 0xFFFF // absent
 				want = 0
 			}
-			p := &pim.PEI{Op: pim.OpHashProbe, Target: base + uint64(b*64), Input: pim.U64Input(key)}
+			p := &pim.PEI{Op: pim.OpHashProbe, Target: base + uint64(b*64)}
+			p.SetU64(key)
 			probes = append(probes, probe{p, want})
 			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: p})
 		}

@@ -29,11 +29,15 @@ type Directory struct {
 	entries    []dirEntry
 	indexBits  uint
 	idealLocks map[uint64]*dirEntry
+	freeIdeal  []*dirEntry // recycled idle ideal-mode entries
 
 	// outstandingWriters tracks writer PEIs holding or waiting for any
 	// entry; pfence drains when it reaches zero.
 	outstandingWriters int
 	fenceWaiters       []sim.Cont
+	// fenceSpare is the drained waiter list's storage, swapped back in
+	// when the fence waiters drain so the two lists never reallocate.
+	fenceSpare []sim.Cont
 
 	free []*dirTxn // recycled acquire/fence transactions
 }
@@ -76,7 +80,7 @@ func (t *dirTxn) OnEvent(sim.EventArg) {
 		return
 	}
 	d.cBlocked.Inc()
-	e.queue = append(e.queue, dirWaiter{writer: writer, granted: granted})
+	e.queue.Push(dirWaiter{writer: writer, granted: granted})
 	if writer {
 		e.writerWaiting++
 	}
@@ -106,24 +110,10 @@ type dirEntry struct {
 	// writerWaiting marks a queued writer; new readers must queue behind
 	// it rather than overtaking (non-readable state in the paper).
 	writerWaiting int
-	// queue with qhead is a head-indexed FIFO (reset, retaining capacity,
-	// when drained) so waiter churn never reallocates.
-	queue []dirWaiter
-	qhead int
+	queue         sim.FIFO[dirWaiter]
 }
 
-func (e *dirEntry) queued() int { return len(e.queue) - e.qhead }
-
-func (e *dirEntry) popWaiter() dirWaiter {
-	w := e.queue[e.qhead]
-	e.queue[e.qhead] = dirWaiter{}
-	e.qhead++
-	if e.qhead == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.qhead = 0
-	}
-	return w
-}
+func (e *dirEntry) queued() int { return e.queue.Len() }
 
 // NewDirectory creates a directory with the given entry count (rounded
 // up to a power of two) or an ideal one if entries <= 0 or ideal is set.
@@ -154,7 +144,12 @@ func (d *Directory) entryFor(target uint64) *dirEntry {
 	if d.ideal {
 		e, ok := d.idealLocks[blk]
 		if !ok {
-			e = &dirEntry{}
+			if n := len(d.freeIdeal); n > 0 {
+				e = d.freeIdeal[n-1]
+				d.freeIdeal = d.freeIdeal[:n-1]
+			} else {
+				e = &dirEntry{}
+			}
 			d.idealLocks[blk] = e
 		}
 		return e
@@ -233,7 +228,10 @@ func (d *Directory) Release(target uint64, writer bool) {
 	}
 	d.wake(e)
 	if d.ideal && e.readers == 0 && !e.writer && e.queued() == 0 {
+		// An idle entry carries no state (its waiter ring is empty and
+		// keeps only capacity), so it is recycled for the next block.
 		delete(d.idealLocks, addr.BlockOf(target))
+		d.freeIdeal = append(d.freeIdeal, e)
 	}
 }
 
@@ -241,12 +239,12 @@ func (d *Directory) Release(target uint64, writer bool) {
 // of readers up to the next queued writer.
 func (d *Directory) wake(e *dirEntry) {
 	for e.queued() > 0 {
-		w := e.queue[e.qhead]
+		w := e.queue.Front()
 		if w.writer {
 			if e.writer || e.readers > 0 {
 				return
 			}
-			e.popWaiter()
+			e.queue.Pop()
 			e.writerWaiting--
 			e.writer = true
 			w.granted.Invoke()
@@ -255,7 +253,7 @@ func (d *Directory) wake(e *dirEntry) {
 		if e.writer {
 			return
 		}
-		e.popWaiter()
+		e.queue.Pop()
 		e.readers++
 		w.granted.Invoke()
 	}
@@ -264,11 +262,15 @@ func (d *Directory) wake(e *dirEntry) {
 func (d *Directory) writerDone() {
 	d.outstandingWriters--
 	if d.outstandingWriters == 0 && len(d.fenceWaiters) > 0 {
+		// Swap in the spare list first: a resumed waiter may fence again
+		// and must queue on a list this loop is not walking.
 		waiters := d.fenceWaiters
-		d.fenceWaiters = nil
-		for _, c := range waiters {
+		d.fenceWaiters, d.fenceSpare = d.fenceSpare[:0], nil
+		for i, c := range waiters {
+			waiters[i] = sim.Cont{}
 			c.Invoke()
 		}
+		d.fenceSpare = waiters[:0]
 	}
 }
 

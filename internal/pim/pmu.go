@@ -128,7 +128,7 @@ func (t *peiTxn) OnEvent(arg sim.EventArg) {
 	case stHostLoaded:
 		t.pcu.ComputeEvent(t.compute, sim.Cont{H: t, Arg: sim.EventArg{N: stHostComputed}})
 	case stHostComputed:
-		t.pei.Output = Execute(t.pei.Op, p.store, t.pei.Target, t.pei.Input)
+		t.pei.Execute(p.store)
 		if t.writer {
 			p.hier.AccessEvent(t.pei.Core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stHostFinish}})
 			return
@@ -157,7 +157,7 @@ func (t *peiTxn) OnEvent(arg sim.EventArg) {
 	case stIdealLoaded:
 		p.k.ScheduleEvent(sim.Cycle(t.compute), t, sim.EventArg{N: stIdealComputed})
 	case stIdealComputed:
-		t.pei.Output = Execute(t.pei.Op, p.store, t.pei.Target, t.pei.Input)
+		t.pei.Execute(p.store)
 		if t.writer {
 			p.hier.AccessEvent(t.pei.Core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealFinish}})
 			return
@@ -224,8 +224,9 @@ func NewPMU(k *sim.Kernel, cfg *config.Config, hier *cache.Hierarchy, chain *hmc
 }
 
 // Issue starts execution of a PEI. When it retires, the PEI's Issuer is
-// notified (or, absent one, its Done callback runs); its Output field
-// then holds the output operand.
+// notified (or, absent one, the PEI completes: Done runs and a pooled
+// PEI returns to its pool); its Output field then holds the output
+// operand.
 func (p *PMU) Issue(pei *PEI) {
 	if err := pei.Validate(); err != nil {
 		panic(err)
@@ -266,17 +267,20 @@ func (p *PMU) Issue(pei *PEI) {
 }
 
 // retire observes the issue-to-retire latency and hands the PEI back to
-// its issuer (or runs Done directly when no issuer is registered).
+// its issuer (or completes it directly when no issuer is registered).
+// Retirement may recycle the PEI — the issuer can hand the same struct
+// to a new instruction before retire returns — so callers read
+// everything they still need from t.pei before calling it, and never
+// after.
 func (p *PMU) retire(t *peiTxn) {
 	p.PEILatency.Observe(int64(p.k.Now() - t.start))
 	pei := t.pei
+	t.pei = nil
 	if pei.Issuer != nil {
 		pei.Issuer.PEIRetired(pei)
 		return
 	}
-	if pei.Done != nil {
-		pei.Done()
-	}
+	pei.Complete()
 }
 
 // decideHost applies the mode's steering policy.
@@ -329,15 +333,17 @@ func (p *PMU) executeHost(t *peiTxn) {
 func (p *PMU) hostFinish(t *peiTxn) {
 	p.cHost.Inc()
 	t.pcu.Release()
+	target := t.pei.Target
 	p.retire(t)
-	p.Dir.Release(t.pei.Target, t.writer)
+	p.Dir.Release(target, t.writer)
 	p.putTxn(t)
 }
 
 func (p *PMU) idealFinish(t *peiTxn) {
 	p.cHost.Inc()
+	target := t.pei.Target
 	p.retire(t)
-	p.Dir.Release(t.pei.Target, t.writer)
+	p.Dir.Release(target, t.writer)
 	p.putTxn(t)
 }
 
@@ -381,7 +387,7 @@ func (p *PMU) AtVault(dt *hmc.Txn) {
 
 func (p *PMU) vaultComputed(t *peiTxn) {
 	pei := t.pei
-	pei.Output = Execute(pei.Op, p.store, pei.Target, pei.Input)
+	pei.Execute(p.store)
 	dt := t.dt
 	if t.writer {
 		// Posted write: the vault's DRAM controller schedules a PEI's
@@ -397,9 +403,10 @@ func (p *PMU) vaultComputed(t *peiTxn) {
 
 func (p *PMU) memFinish(t *peiTxn) {
 	p.cMem.Inc()
+	target := t.pei.Target
 	p.retire(t)
 	if t.locked {
-		p.Dir.Release(t.pei.Target, t.writer)
+		p.Dir.Release(target, t.writer)
 	}
 	p.putTxn(t)
 }

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"math"
 	"testing"
 
 	"pimsim/internal/addr"
@@ -54,7 +55,7 @@ func newRig(t testing.TB, mode Mode, mutate func(*config.Config)) *rig {
 func (r *rig) issueAndRun(t testing.TB, p *PEI) {
 	t.Helper()
 	done := false
-	p.Done = func() { done = true }
+	p.Done = func(*PEI) { done = true }
 	r.pmu.Issue(p)
 	r.k.Run()
 	if !done {
@@ -141,7 +142,7 @@ func TestAtomicityManyWritersSameBlock(t *testing.T) {
 	retired := 0
 	const n = 50
 	for i := 0; i < n; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Core: i % r.cfg.Cores, Done: func() { retired++ }})
+		r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Core: i % r.cfg.Cores, Done: func(*PEI) { retired++ }})
 	}
 	r.k.Run()
 	if retired != n {
@@ -158,7 +159,7 @@ func TestAtomicityMixedModesLocalityAware(t *testing.T) {
 	retired := 0
 	const n = 40
 	for i := 0; i < n; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Core: i % r.cfg.Cores, Done: func() { retired++ }})
+		r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Core: i % r.cfg.Cores, Done: func(*PEI) { retired++ }})
 	}
 	r.k.Run()
 	if retired != n || r.store.ReadU64(a) != n {
@@ -178,7 +179,7 @@ func TestLocalityAwareColdStreamGoesToMemory(t *testing.T) {
 	arr := r.store.AllocU64Array(512 * 8)
 	retired := 0
 	for i := 0; i < 512; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i * 8), Core: 0, Done: func() { retired++ }})
+		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i * 8), Core: 0, Done: func(*PEI) { retired++ }})
 		if i%8 == 7 {
 			r.k.Run()
 		}
@@ -201,7 +202,7 @@ func TestLocalityAwareHotBlockGoesToHost(t *testing.T) {
 		r.hier.Access(0, a, false, func() {})
 		r.k.Run()
 	}
-	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Core: 0, Input: F64Input(1.0)})
+	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Core: 0, Input: u64(math.Float64bits(1.0))})
 	if r.reg.Get("pei.host") != 1 {
 		t.Fatal("hot block PEI should run on host")
 	}
@@ -224,7 +225,7 @@ func TestPfenceOrdersWriters(t *testing.T) {
 	arr := r.store.AllocU64Array(64)
 	retired := 0
 	for i := 0; i < 64; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: i % r.cfg.Cores, Done: func() { retired++ }})
+		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: i % r.cfg.Cores, Done: func(*PEI) { retired++ }})
 	}
 	fenced := false
 	r.pmu.Fence(func() {
@@ -248,7 +249,7 @@ func TestOutputOperandDelivered(t *testing.T) {
 	r := newRig(t, PIMOnly, nil)
 	b := r.store.Alloc(64, 64)
 	r.store.WriteU64(b+HashBucketKeyOff, 42)
-	p := &PEI{Op: OpHashProbe, Target: b, Core: 0, Input: U64Input(42)}
+	p := &PEI{Op: OpHashProbe, Target: b, Core: 0, Input: u64(42)}
 	r.issueAndRun(t, p)
 	if len(p.Output) != 9 || p.Output[0] != 1 {
 		t.Fatalf("output = %v, want match", p.Output)
@@ -283,7 +284,7 @@ func TestOperandBufferSaturation(t *testing.T) {
 	arr := small.store.AllocU64Array(32)
 	retired := 0
 	for i := 0; i < 32; i++ {
-		small.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: 0, Done: func() { retired++ }})
+		small.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: 0, Done: func(*PEI) { retired++ }})
 	}
 	small.k.Run()
 	if retired != 32 {
@@ -301,7 +302,7 @@ func TestInvalidPEIPanics(t *testing.T) {
 			t.Fatal("expected panic for invalid PEI")
 		}
 	}()
-	r.pmu.Issue(&PEI{Op: OpMin64, Target: 64, Input: nil, Done: func() {}})
+	r.pmu.Issue(&PEI{Op: OpMin64, Target: 64, Input: nil, Done: func(*PEI) {}})
 }
 
 func TestSummaryString(t *testing.T) {
@@ -319,7 +320,7 @@ func TestHMC2AtomicsMode(t *testing.T) {
 	arr := r.store.AllocU64Array(32)
 	retired := 0
 	for i := 0; i < 32; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Done: func() { retired++ }})
+		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Done: func(*PEI) { retired++ }})
 	}
 	r.k.Run()
 	if retired != 32 {
@@ -349,7 +350,7 @@ func TestHMC2AtomicsMode(t *testing.T) {
 func TestHMC2AtomicsBypassFence(t *testing.T) {
 	r := newRig(t, PIMOnly, func(c *config.Config) { c.HMC2AtomicsMode = true })
 	a := r.store.Alloc(8, 8)
-	r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Done: func() {}})
+	r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Done: func(*PEI) {}})
 	fenced := false
 	r.pmu.Fence(func() { fenced = true })
 	r.k.RunUntil(10)

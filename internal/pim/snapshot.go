@@ -48,9 +48,9 @@ func (m *Monitor) RestoreFrom(r *snap.Reader) {
 // counters. The operand buffer must be empty with no queued waiters.
 func (p *PCU) SnapshotTo(w *snap.Writer) {
 	w.Section("PCU ")
-	if p.inFlight != 0 || p.waitHead < len(p.waitQ) {
+	if p.inFlight != 0 || p.waitQ.Len() != 0 {
 		w.Fail(fmt.Errorf("%w: PCU has %d in-flight PEIs and %d waiters",
-			snap.ErrNotQuiescent, p.inFlight, len(p.waitQ)-p.waitHead))
+			snap.ErrNotQuiescent, p.inFlight, p.waitQ.Len()))
 		return
 	}
 	w.Int(len(p.ports))
@@ -66,9 +66,9 @@ func (p *PCU) SnapshotTo(w *snap.Writer) {
 // against the restored port horizons.
 func (p *PCU) RestoreFrom(r *snap.Reader) {
 	r.Section("PCU ")
-	if p.inFlight != 0 || p.waitHead < len(p.waitQ) {
+	if p.inFlight != 0 || p.waitQ.Len() != 0 {
 		r.Fail(fmt.Errorf("%w: restore target PCU has %d in-flight PEIs and %d waiters",
-			snap.ErrNotQuiescent, p.inFlight, len(p.waitQ)-p.waitHead))
+			snap.ErrNotQuiescent, p.inFlight, p.waitQ.Len()))
 		return
 	}
 	ports := r.Int()
@@ -107,6 +107,34 @@ func (d *Directory) assertIdle(fail func(error)) {
 	if len(d.idealLocks) != 0 {
 		fail(fmt.Errorf("%w: ideal directory holds %d live locks", snap.ErrNotQuiescent, len(d.idealLocks)))
 	}
+}
+
+// CheckDrained checks the PEI path's conservation laws once a run has
+// drained: every PIM-directory lock released with no waiters and no
+// unfenced writer, every host and vault PCU empty, and every issued PEI
+// retired on exactly one side. Retirement recycles a PEI, so a lock
+// released through a recycled PEI's target shows up here as a lock
+// left held. The cost is one pass over the directory and the PCUs.
+func (p *PMU) CheckDrained() error {
+	var err error
+	p.Dir.assertIdle(func(e error) { err = e })
+	if err != nil {
+		return err
+	}
+	for i, u := range p.HostPCU {
+		if u.inFlight != 0 || u.waitQ.Len() != 0 {
+			return fmt.Errorf("pim: host PCU %d holds %d PEIs with %d waiting after drain", i, u.inFlight, u.waitQ.Len())
+		}
+	}
+	for i, u := range p.MemPCU {
+		if u.inFlight != 0 || u.waitQ.Len() != 0 {
+			return fmt.Errorf("pim: vault PCU %d holds %d PEIs with %d waiting after drain", i, u.inFlight, u.waitQ.Len())
+		}
+	}
+	if total, host, mem := p.cTotal.Get(), p.cHost.Get(), p.cMem.Get(); total != host+mem {
+		return fmt.Errorf("pim: %d PEIs issued but %d retired (%d host, %d memory)", total, host+mem, host, mem)
+	}
+	return nil
 }
 
 // SnapshotTo serializes the PMU: the locality monitor, the PEI latency

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"pimsim/internal/config"
@@ -28,7 +29,7 @@ func TestRoundTripAllOpKinds(t *testing.T) {
 		{Kind: cpu.OpCompute, Cycles: 42},
 		{Kind: cpu.OpLoad, Addr: 0x1234},
 		{Kind: cpu.OpStore, Addr: 0x5678},
-		{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpMin64, Target: 0x9ABC, Input: pim.U64Input(7)}},
+		{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpMin64, Target: 0x9ABC, Input: binary.LittleEndian.AppendUint64(nil, 7)}},
 		{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpFloatAdd, Target: 0xDEF0, Input: maxInput}},
 		{Kind: cpu.OpFence},
 		{Kind: cpu.OpBarrier, Barrier: barrier},

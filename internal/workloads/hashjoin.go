@@ -151,6 +151,12 @@ func (w *hashjoin) Streams(m *machine.Machine) []cpu.Stream {
 	// must ride in the snapshot alongside the machine state.
 	w.snapExtra = func(sw *snap.Writer) { sw.I64(w.hits) }
 	w.restoreExtra = func(sr *snap.Reader) { w.hits = sr.I64() }
+	// One completion callback serves every probe PEI.
+	onProbe := func(p *pim.PEI) {
+		if p.Output[0] == 1 {
+			w.hits++
+		}
+	}
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		lo, hi := PartitionRange(w.sRows, w.p.Threads, t)
@@ -164,12 +170,9 @@ func (w *hashjoin) Streams(m *machine.Machine) []cpu.Stream {
 				q.PushCompute(2) // hash computation
 				chain, _ := w.chainFor(key)
 				for _, bucket := range chain {
-					p := &pim.PEI{Op: pim.OpHashProbe, Target: bucket, Input: pim.U64Input(key)}
-					p.Done = func() {
-						if p.Output[0] == 1 {
-							w.hits++
-						}
-					}
+					p := q.PEIs.Get(pim.OpHashProbe, bucket)
+					p.SetU64(key)
+					p.Done = onProbe
 					q.PushPEI(p)
 				}
 			},

@@ -76,20 +76,25 @@ func (w *histogram) buildData(m *machine.Machine) {
 	}
 }
 
-// newHistBinPEI builds the histogram-bin-index PEI for one block.
-func newHistBinPEI(blockAddr uint64) *pim.PEI {
-	return &pim.PEI{Op: pim.OpHistBin, Target: blockAddr, Input: []byte{histShift}}
-}
-
-// histPEI emits the bin-index PEI for the 16-integer block starting at
-// element base, accumulating into acc.
-func histPEI(q *cpu.Queue, blockAddr uint64, acc []uint64) {
-	p := newHistBinPEI(blockAddr)
-	p.Done = func() {
+// histBinDone is the completion callback shared by all of a workload's
+// bin-index PEIs: it adds the 16 returned bin indexes to thread Tag's
+// row of *local, looked up when the PEI retires.
+func histBinDone(local *[][]uint64) func(*pim.PEI) {
+	return func(p *pim.PEI) {
+		acc := (*local)[p.Tag]
 		for _, bin := range p.Output {
 			acc[bin]++
 		}
 	}
+}
+
+// histPEI emits thread tid's bin-index PEI for the 16-integer block at
+// blockAddr.
+func histPEI(q *cpu.Queue, blockAddr uint64, tid int, done func(*pim.PEI)) {
+	p := q.PEIs.Get(pim.OpHistBin, blockAddr)
+	p.InputBuf(1)[0] = histShift
+	p.Tag = tid
+	p.Done = done
 	q.PushPEI(p)
 }
 
@@ -100,6 +105,7 @@ func (w *histogram) Streams(m *machine.Machine) []cpu.Stream {
 	w.initPhases(1, barrier)
 	w.snapExtra = func(sw *snap.Writer) { snapU64Grid(sw, w.local) }
 	w.restoreExtra = func(sr *snap.Reader) { restoreU64Grid(sr, w.local) }
+	done := histBinDone(&w.local)
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		lo, hi := PartitionRange(blocks, w.p.Threads, t)
@@ -112,7 +118,7 @@ func (w *histogram) Streams(m *machine.Machine) []cpu.Stream {
 			drain:   true,
 			items:   hi - lo,
 			perItem: func(q *cpu.Queue, _, i int) {
-				histPEI(q, w.dataBase+uint64((lo+i)*16*4), w.local[tid])
+				histPEI(q, w.dataBase+uint64((lo+i)*16*4), tid, done)
 			},
 			afterRounds: func(q *cpu.Queue) {
 				// Merge thread-local counts into the shared bins with

@@ -122,11 +122,9 @@ func (w *pagerank) Streams(m *machine.Machine) []cpu.Stream {
 					off := w.gm.G.Offsets[v]
 					for j, succ := range w.gm.G.Successors(v) {
 						q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-						q.PushPEI(&pim.PEI{
-							Op:     pim.OpFloatAdd,
-							Target: w.nextRank.Addr(int(succ)),
-							Input:  pim.F64Input(delta),
-						})
+						p := q.PEIs.Get(pim.OpFloatAdd, w.nextRank.Addr(int(succ)))
+						p.SetF64(delta)
+						q.PushPEI(p)
 					}
 					return
 				}
@@ -137,7 +135,9 @@ func (w *pagerank) Streams(m *machine.Machine) []cpu.Stream {
 				if d < 0 {
 					d = -d
 				}
-				q.PushPEI(&pim.PEI{Op: pim.OpFloatAdd, Target: w.diffAddr, Input: pim.F64Input(d)})
+				p := q.PEIs.Get(pim.OpFloatAdd, w.diffAddr)
+				p.SetF64(d)
+				q.PushPEI(p)
 				w.rank.SetF(v, nv)
 				q.PushStore(w.rank.Addr(v))
 				w.nextRank.SetF(v, base)

@@ -118,6 +118,7 @@ func (w *radix) Streams(m *machine.Machine) []cpu.Stream {
 	// only fall between rounds.
 	w.snapExtra = func(sw *snap.Writer) { snapU64Grid(sw, w.local) }
 	w.restoreExtra = func(sr *snap.Reader) { restoreU64Grid(sr, w.local) }
+	done := histBinDone(&w.local)
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		blo, bhi := PartitionRange(totalBlocks, w.p.Threads, t)
@@ -141,7 +142,7 @@ func (w *radix) Streams(m *machine.Machine) []cpu.Stream {
 			perItem: func(q *cpu.Queue, round, i int) {
 				blockBase := w.dataBase + uint64(lo+i*16)*4
 				if round%2 == 0 {
-					histPEI(q, blockBase, w.local[tid])
+					histPEI(q, blockBase, tid, done)
 					return
 				}
 				// Scatter: re-read the block, then store each element to

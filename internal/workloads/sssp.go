@@ -98,11 +98,9 @@ func (w *sssp) Streams(m *machine.Machine) []cpu.Stream {
 				off := w.gm.G.Offsets[v]
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-					q.PushPEI(&pim.PEI{
-						Op:     pim.OpMin64,
-						Target: w.dist.Addr(int(succ)),
-						Input:  pim.U64Input(dv + edgeWeight(v, succ)),
-					})
+					p := q.PEIs.Get(pim.OpMin64, w.dist.Addr(int(succ)))
+					p.SetU64(dv + edgeWeight(v, succ))
+					q.PushPEI(p)
 				}
 			},
 		}

@@ -8,6 +8,7 @@ import (
 	"pimsim/internal/addr"
 	"pimsim/internal/cpu"
 	"pimsim/internal/machine"
+	"pimsim/internal/pim"
 	"pimsim/internal/snap"
 )
 
@@ -140,6 +141,12 @@ func (w *streamcluster) Streams(m *machine.Machine) []cpu.Stream {
 			}
 		}
 	}
+	// One completion callback serves every distance PEI: Tag numbers
+	// the (point, center, chunk) slot of partial it fills.
+	onDist := func(pei *pim.PEI) {
+		pc, ch := pei.Tag/chunks, pei.Tag%chunks
+		w.partial[pc/w.centers][pc%w.centers][ch] = math.Float32frombits(binary.LittleEndian.Uint32(pei.Output))
+	}
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		lo, hi := PartitionRange(w.points, w.p.Threads, t)
@@ -155,16 +162,14 @@ func (w *streamcluster) Streams(m *machine.Machine) []cpu.Stream {
 			perItem: func(q *cpu.Queue, c, i int) {
 				p := lo + i
 				for ch := 0; ch < chunks; ch++ {
-					input := make([]byte, 64)
+					pei := q.PEIs.Get(pim.OpEuclideanDist, w.pointAddr(p, ch))
+					input := pei.InputBuf(64)
 					for d := 0; d < 16; d++ {
 						binary.LittleEndian.PutUint32(input[d*4:],
 							math.Float32bits(w.centerVecs[c][ch*16+d]))
 					}
-					pei := newEuclidPEI(w.pointAddr(p, ch), input)
-					cc, cch := c, ch
-					pei.Done = func() {
-						w.partial[p][cc][cch] = math.Float32frombits(binary.LittleEndian.Uint32(pei.Output))
-					}
+					pei.Tag = (p*w.centers+c)*chunks + ch
+					pei.Done = onDist
 					q.PushPEI(pei)
 				}
 				q.PushCompute(4) // running-min bookkeeping

@@ -12,11 +12,6 @@ import (
 	"pimsim/internal/snap"
 )
 
-// newEuclidPEI builds the 16-dim single-precision distance PEI (SC).
-func newEuclidPEI(target uint64, input []byte) *pim.PEI {
-	return &pim.PEI{Op: pim.OpEuclideanDist, Target: target, Input: input}
-}
-
 // svm is SVM-RFE of §5.3: the kernel computes dot products between one
 // hyperplane vector w (hot, register/cache resident) and a large number
 // of input vectors x_i (streamed). Every 4-dimension double-precision
@@ -124,6 +119,12 @@ func (w *svm) Streams(m *machine.Machine) []cpu.Stream {
 			}
 		}
 	}
+	// One completion callback serves every dot-product PEI: Tag numbers
+	// the (instance, chunk) slot of partials it fills.
+	chunks := w.features / 4
+	onDot := func(pei *pim.PEI) {
+		w.partials[pei.Tag/chunks][pei.Tag%chunks] = math.Float64frombits(binary.LittleEndian.Uint64(pei.Output))
+	}
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		lo, hi := PartitionRange(w.instances, w.p.Threads, t)
@@ -134,21 +135,15 @@ func (w *svm) Streams(m *machine.Machine) []cpu.Stream {
 			items:  hi - lo,
 			perItem: func(q *cpu.Queue, _, i int) {
 				inst := lo + i
-				for c := 0; c < w.features/4; c++ {
-					input := make([]byte, 32)
+				for c := 0; c < chunks; c++ {
+					pei := q.PEIs.Get(pim.OpDotProduct, w.xAddr(inst, c*4))
+					input := pei.InputBuf(32)
 					for d := 0; d < 4; d++ {
 						binary.LittleEndian.PutUint64(input[d*8:],
 							math.Float64bits(w.wVec[c*4+d]))
 					}
-					pei := &pim.PEI{
-						Op:     pim.OpDotProduct,
-						Target: w.xAddr(inst, c*4),
-						Input:  input,
-					}
-					cc := c
-					pei.Done = func() {
-						w.partials[inst][cc] = math.Float64frombits(binary.LittleEndian.Uint64(pei.Output))
-					}
+					pei.Tag = inst*chunks + c
+					pei.Done = onDot
 					q.PushPEI(pei)
 				}
 				q.PushCompute(2)

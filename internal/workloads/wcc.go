@@ -85,11 +85,9 @@ func (w *wcc) Streams(m *machine.Machine) []cpu.Stream {
 				off := w.gm.G.Offsets[v]
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-					q.PushPEI(&pim.PEI{
-						Op:     pim.OpMin64,
-						Target: w.label.Addr(int(succ)),
-						Input:  pim.U64Input(lv),
-					})
+					p := q.PEIs.Get(pim.OpMin64, w.label.Addr(int(succ)))
+					p.SetU64(lv)
+					q.PushPEI(p)
 				}
 			},
 		}

@@ -93,13 +93,6 @@ type JobSpec struct {
 	OpBudget  int64    `json:"budget,omitempty"`
 	Pairs     int      `json:"pairs,omitempty"`
 	Workloads []string `json:"workloads,omitempty"`
-
-	// Deprecated: Kernel and KernelWorkers are ignored; the simulator
-	// has one event kernel. They are kept so older clients' jobs still
-	// parse: Normalize accepts "", "seq" and "pdes" (rejecting any other
-	// name) and clears both fields, so such jobs keep their digests.
-	Kernel        string `json:"kernel,omitempty"`
-	KernelWorkers int    `json:"kernel_workers,omitempty"`
 }
 
 // validExperiment reports whether name is runnable (registry names,
@@ -170,12 +163,6 @@ func (s JobSpec) Normalize() (JobSpec, *Config, error) {
 	}
 	if s.Scale <= 0 {
 		s.Scale = 64
-	}
-	switch s.Kernel {
-	case "", "seq", "pdes":
-		s.Kernel, s.KernelWorkers = "", 0
-	default:
-		return s, nil, fmt.Errorf("pei: unknown kernel %q (want seq or pdes)", s.Kernel)
 	}
 	switch s.Kind {
 	case JobExperiment:

@@ -44,7 +44,6 @@ func TestJobSpecNormalizeRejectsInvalid(t *testing.T) {
 		{Workload: "bfs", Verify: true, OpBudget: 100},
 		{Experiment: "fig6", Workloads: []string{"nope"}},
 		{Workload: "bfs", Overrides: json.RawMessage(`{"Cores": -3}`)},
-		{Workload: "bfs", Kernel: "warp-drive"},
 	}
 	for _, s := range bad {
 		if _, _, err := s.Normalize(); err == nil {
@@ -78,14 +77,19 @@ func TestJobSpecDigestStability(t *testing.T) {
 	if a != c {
 		t.Fatal("no-op overrides changed the digest")
 	}
-	// The execution engine cannot change results, so it is not part of
-	// job identity: kernel knobs must not split the cache.
-	k, err := pei.JobSpec{Workload: "bfs", Kernel: "pdes", KernelWorkers: 8}.Digest()
+	// Fields the spec no longer has (the retired "kernel" and
+	// "kernel_workers" knobs) are ignored when decoding, so older
+	// clients' jobs keep their digests.
+	var old pei.JobSpec
+	if err := json.Unmarshal([]byte(`{"workload":"bfs","kernel":"pdes","kernel_workers":8}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	k, err := old.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != k {
-		t.Fatal("kernel selection changed the digest")
+		t.Fatal("a retired kernel field changed the digest")
 	}
 
 	for _, different := range []pei.JobSpec{

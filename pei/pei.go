@@ -162,7 +162,9 @@ func (p *Program) Compute(cycles int64) { p.q.PushCompute(cycles) }
 // times when delta is small, or a float add for general deltas — for
 // exact integer semantics use AtomicInc or AtomicMin.
 func (p *Program) AtomicAdd(target uint64, delta float64) {
-	p.q.PushPEI(&pim.PEI{Op: pim.OpFloatAdd, Target: target, Input: pim.F64Input(delta)})
+	pe := &pim.PEI{Op: pim.OpFloatAdd, Target: target}
+	pe.SetF64(delta)
+	p.q.PushPEI(pe)
 }
 
 // AtomicInc emits the 8-byte integer increment PEI.
@@ -172,14 +174,16 @@ func (p *Program) AtomicInc(target uint64) {
 
 // AtomicMin emits the 8-byte integer min PEI.
 func (p *Program) AtomicMin(target uint64, v uint64) {
-	p.q.PushPEI(&pim.PEI{Op: pim.OpMin64, Target: target, Input: pim.U64Input(v)})
+	pe := &pim.PEI{Op: pim.OpMin64, Target: target}
+	pe.SetU64(v)
+	p.q.PushPEI(pe)
 }
 
 // PEI emits an arbitrary PIM-enabled instruction.
 func (p *Program) PEI(op pim.OpKind, target uint64, input []byte, done func(output []byte)) {
 	pe := &pim.PEI{Op: op, Target: target, Input: input}
 	if done != nil {
-		pe.Done = func() { done(pe.Output) }
+		pe.Done = func(pe *pim.PEI) { done(pe.Output) }
 	}
 	p.q.PushPEI(pe)
 }

@@ -3,6 +3,7 @@ package pei
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestProgramAllOps(t *testing.T) {
 	prog.AtomicMin(a+8, 7)
 	prog.Store(a + 16)
 	var probed []byte
-	prog.PEI(pim.OpHashProbe, a, pim.U64Input(999), func(out []byte) { probed = out })
+	prog.PEI(pim.OpHashProbe, a, binary.LittleEndian.AppendUint64(nil, 999), func(out []byte) { probed = out })
 	prog.Fence()
 	if _, err := sys.Run(prog); err != nil {
 		t.Fatal(err)
